@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -56,9 +57,9 @@ from .market import (
     radon_nikodym_path,
     simulate_asset_path,
 )
-from .mc import backtest_hedge, price_mc_p_weighted, price_mc_q
+from .mc import _child_rngs, backtest_hedge, price_mc_p_weighted, price_mc_q
 from .payoffs import payoff_from_dict
-from .pricing import GridResolutionError, build_grid, compute_betas, solve_price
+from .pricing import GridResolutionError, build_grid, solve_price
 from .regimes import validate_rates
 
 EXIT_OK = 0
@@ -121,31 +122,54 @@ def _payoff_of(cfg: dict):
     return payoff_from_dict(cfg["payoff"])
 
 
-def _state_of(cfg: dict) -> tuple[float, int, float]:
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"'{name}' must be a JSON object")
+    return section
+
+
+def _number(section: dict, key: str, default, kind=float):
+    """``section[key]``, or ``default`` when absent, converted by ``kind``;
+    null, booleans, non-numbers and non-finite numbers are configuration
+    errors."""
+    value = section.get(key, default)
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return kind(value)
+
+
+def _age_of(cfg: dict) -> float:
+    y0 = _number(cfg, "y0", 0.0)
+    if y0 < 0.0:
+        raise ValueError(f"y0 = {y0} must be a nonnegative age")
+    return y0
+
+
+def _state_of(cfg: dict, model) -> tuple[float, int, float]:
     if "s0" not in cfg:
         raise ValueError("config requires 's0'")
-    return float(cfg["s0"]), int(cfg.get("x0", 0)), float(cfg.get("y0", 0.0))
+    s0 = _number(cfg, "s0", None)
+    x0 = _number(cfg, "x0", 0, int)
+    if not 0 <= x0 < model.n_states:
+        raise ValueError(f"x0 = {x0} is not a regime in [0, {model.n_states})")
+    return s0, x0, _age_of(cfg)
 
 
 def _grid_of(cfg: dict, model):
-    g = cfg.get("grid", {})
+    g = _section(cfg, "grid")
     s_ref = g.get("s_ref", cfg.get("s0"))
     if s_ref is None:
         raise ValueError("config requires 'grid.s_ref' or 's0'")
-    n_age = g.get("n_age")
     return build_grid(
         model,
-        s_ref=float(s_ref),
-        n_time=int(g.get("n_time", 50)),
-        n_space=int(g.get("n_space", 401)),
-        n_age=None if n_age is None else int(n_age),
-        width=float(g.get("width", 6.0)),
+        s_ref=_number(g, "s_ref", s_ref),
+        n_time=_number(g, "n_time", 50, int),
+        n_space=_number(g, "n_space", 401, int),
+        n_age=None if g.get("n_age") is None else _number(g, "n_age", None, int),
+        width=_number(g, "width", 6.0),
     )
-
-
-def _child_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    seqs = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(s)) for s in seqs]
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -159,15 +183,15 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _cmd_check(cfg: dict, out: Path) -> tuple[int, list[str]]:
     model = _model_of(cfg)
-    y0 = float(cfg.get("y0", 0.0))
-    opts = cfg.get("check", {})
+    y0 = _age_of(cfg)
+    opts = _section(cfg, "check")
     y_max = y0 + model.horizon
     rates_report = validate_rates(
         model.rates,
         y_max=y_max,
         # probe the hazard tail far past the visited ages unless overridden
-        divergence_age=float(opts.get("divergence_age", 1000.0 * y_max)),
-        divergence_threshold=float(opts.get("divergence_threshold", 30.0)),
+        divergence_age=_number(opts, "divergence_age", 1000.0 * y_max),
+        divergence_threshold=_number(opts, "divergence_threshold", 30.0),
     )
     arb_report = check_no_arbitrage(model)
     passed = rates_report.passed and arb_report.passed
@@ -187,13 +211,12 @@ def _cmd_integrals(cfg: dict, out: Path) -> tuple[int, list[str]]:
     ints = model.ints
     per_regime = []
     for i in range(model.n_states):
-        betas = compute_betas(model, 0.0, i)
-        tilt = betas.jump_tilt
+        tilt = model.jump_tilt(0.0, i)
         per_regime.append(
             {
                 "state": i,
                 "ratio": float(model.j_ratio(0.0, i)),
-                "drift_tilt": betas.drift_tilt,
+                "drift_tilt": float(model.drift_tilt(0.0, i)),
                 "tilt_min": float(tilt.min()) if tilt.size else 1.0,
                 "tilt_max": float(tilt.max()) if tilt.size else 1.0,
             }
@@ -213,11 +236,11 @@ def _cmd_integrals(cfg: dict, out: Path) -> tuple[int, list[str]]:
 
 def _cmd_simulate(cfg: dict, out: Path) -> tuple[int, list[str]]:
     model = _model_of(cfg)
-    s0, x0, y0 = _state_of(cfg)
-    seed = int(cfg.get("seed", 0))
-    sim = cfg.get("simulate", {})
-    n_paths = int(sim.get("n_paths", 1))
-    n_record = int(sim.get("n_record", 0))
+    s0, x0, y0 = _state_of(cfg, model)
+    seed = cfg["seed"]
+    sim = _section(cfg, "simulate")
+    n_paths = _number(sim, "n_paths", 1, int)
+    n_record = _number(sim, "n_record", 0, int)
     if n_paths < 1:
         raise ValueError("simulate.n_paths must be positive")
     record = np.linspace(0.0, model.horizon, n_record + 1) if n_record > 0 else None
@@ -264,8 +287,8 @@ def _solve_surface(cfg: dict, model, payoff, method: str):
 def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
     model = _model_of(cfg)
     payoff = _payoff_of(cfg)
-    s0, x0, y0 = _state_of(cfg)
-    seed = int(cfg.get("seed", 0))
+    s0, x0, y0 = _state_of(cfg, model)
+    seed = cfg["seed"]
     method = cfg.get("method", "ie")
     report: dict = {
         "method": method,
@@ -292,9 +315,9 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
         )
         artifacts = ["price.json", "surface.csv"]
     elif method in ("mc-q", "mc-p", "mc", "mc-weighted"):
-        opts = cfg.get("mc", {})
-        n_paths = int(opts.get("n_paths", 10000))
-        level = float(opts.get("level", 0.99))
+        opts = _section(cfg, "mc")
+        n_paths = _number(opts, "n_paths", 10000, int)
+        level = _number(opts, "level", 0.99)
         # "mc"/"mc-weighted" kept as aliases of the documented names.
         pricer = price_mc_q if method in ("mc-q", "mc") else price_mc_p_weighted
         est = pricer(model, payoff, s0, x0, y0, n_paths=n_paths, seed=seed, level=level)
@@ -309,11 +332,13 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
 def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
     model = _model_of(cfg)
     payoff = _payoff_of(cfg)
-    s0, x0, y0 = _state_of(cfg)
-    seed = int(cfg.get("seed", 0))
+    s0, x0, y0 = _state_of(cfg, model)
+    seed = cfg["seed"]
     method = cfg.get("method", "ie")
+    opts = _section(cfg, "hedge")
+    n_paths = _number(opts, "n_paths", 1000, int)
+    n_rebalance = _number(opts, "n_rebalance", 250, int)
     surface = _solve_surface(cfg, model, payoff, method)
-    opts = cfg.get("hedge", {})
     report = backtest_hedge(
         model,
         surface,
@@ -321,8 +346,8 @@ def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
         s0,
         x0,
         y0,
-        n_paths=int(opts.get("n_paths", 1000)),
-        n_rebalance=int(opts.get("n_rebalance", 250)),
+        n_paths=n_paths,
+        n_rebalance=n_rebalance,
         seed=seed,
     )
     body = report.to_dict()
@@ -334,12 +359,12 @@ def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
 def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
     model = _model_of(cfg)
     payoff = _payoff_of(cfg)
-    s0, x0, y0 = _state_of(cfg)
-    seed = int(cfg.get("seed", 0))
-    opts = cfg.get("xval", {})
-    tolerance = float(opts.get("tolerance", 0.01))
-    mc_paths = int(opts.get("mc_paths", 200000))
-    level = float(opts.get("level", 0.99))
+    s0, x0, y0 = _state_of(cfg, model)
+    seed = cfg["seed"]
+    opts = _section(cfg, "xval")
+    tolerance = _number(opts, "tolerance", 0.01)
+    mc_paths = _number(opts, "mc_paths", 200000, int)
+    level = _number(opts, "level", 0.99)
 
     grid = _grid_of(cfg, model)
     price_ie = solve_price(model, payoff, grid).price(0.0, s0, x0, y0)
@@ -408,7 +433,7 @@ def _write_manifest(
             "command": args.command,
             "config": str(args.config),
             "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
-            "seed": int(cfg.get("seed", 0)),
+            "seed": cfg["seed"],
             "threads": args.threads,
             "versions": {
                 "smjd": __version__,
@@ -436,6 +461,7 @@ def main(argv=None) -> int:
         _resolve_model_file(cfg, cfg_path)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        cfg["seed"] = _number(cfg, "seed", 0, int)
         out = Path(args.out) if args.out else Path(cfg.get("out", "smjd_out"))
         out.mkdir(parents=True, exist_ok=True)
         code, artifacts = _COMMANDS[args.command](cfg, out)

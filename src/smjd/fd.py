@@ -21,19 +21,17 @@ switching intensities and the jump operator norm.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .market import MarketModel, check_no_arbitrage
+from .market import MarketModel
 from .pricing import (
-    AdmissibilityWarning,
     GridResolutionError,
     PriceSurface,
     SurfaceGrid,
-    _beta1,
     _jump_matrices,
+    _warn_if_inadmissible,
     hedge_ratio,
 )
 
@@ -46,7 +44,7 @@ MAX_EXPLICIT_STEP = 0.5
 def explicit_gain(model: MarketModel, grid: SurfaceGrid) -> float:
     """Per-unit-time gain of the explicit terms: the largest total switch
     intensity on the age rows, the jump operator norm bound
-    ``sup|beta2| (2 mass + int eta)``, and the discount rate."""
+    ``sup|Gamma| (2 mass + int eta)``, and the discount rate."""
     y_probe = np.concatenate([grid.y, grid.y + grid.dt])
     max_rate = max(
         float(np.max(model.rates.total_rate(i, y_probe)))
@@ -57,10 +55,9 @@ def explicit_gain(model: MarketModel, grid: SurfaceGrid) -> float:
     if model.jump.z.size:
         ts = np.linspace(0.0, model.horizon, 33)
         for i in range(model.n_states):
-            q = -np.asarray(model.j_ratio(ts, i))
-            sup_b2 = float(np.abs(1.0 - np.multiply.outer(q, model.jump.eta_vals)).max())
+            sup_gamma = float(np.abs(model.jump_tilt(ts, i)).max())
             jump_norm = max(
-                jump_norm, sup_b2 * (2.0 * ints.mass + max(ints.int_eta, 0.0))
+                jump_norm, sup_gamma * (2.0 * ints.mass + max(ints.int_eta, 0.0))
             )
     return max_rate + jump_norm + float(np.abs(model.r).max())
 
@@ -73,7 +70,7 @@ def _banded_operator(model: MarketModel, grid: SurfaceGrid, i: int, t0: float, d
     n = u.size
     h = float(u[1] - u[0])
     sig2 = float(model.sigma(t0, i)) ** 2
-    b = float(model.r[i] + _beta1(model, t0, i) - 0.5 * sig2)
+    b = float(model.r[i] + model.drift_tilt(t0, i) - 0.5 * sig2)
     alpha = dt * sig2 / (2.0 * h * h)
     beta = dt * b / (2.0 * h)
     half_r = 0.5 * dt * float(model.r[i])
@@ -96,38 +93,24 @@ def _banded_operator(model: MarketModel, grid: SurfaceGrid, i: int, t0: float, d
     return ab
 
 
-def solve_price_fd(
-    model: MarketModel,
-    payoff,
-    grid: SurfaceGrid,
-    max_explicit_step: float = MAX_EXPLICIT_STEP,
-    check_admissibility: bool = True,
-) -> PriceSurface:
+def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
     """Backward finite-difference induction for ``payoff(s)``; fills prices
     and hedge ratios on the full grid.
 
     Raises
     ------
     GridResolutionError
-        If ``dt`` times the explicit gain exceeds ``max_explicit_step``.
+        If ``dt`` times the explicit gain exceeds ``MAX_EXPLICIT_STEP``.
     """
-    if check_admissibility:
-        report = check_no_arbitrage(model)
-        if not report.passed:
-            warnings.warn(
-                "pricing measure is not positive everywhere "
-                f"(worst margin {report.worst_margin:.4g}); prices are formal",
-                AdmissibilityWarning,
-                stacklevel=2,
-            )
+    _warn_if_inadmissible(model)
     if grid.t.size < 2:
         raise ValueError("time grid needs at least two nodes")
     dt = grid.dt
     gain = explicit_gain(model, grid)
-    if dt * gain > max_explicit_step:
+    if dt * gain > MAX_EXPLICIT_STEP:
         raise GridResolutionError(
             f"explicit step dt * gain = {dt * gain:.3f} exceeds "
-            f"{max_explicit_step}; refine the time grid"
+            f"{MAX_EXPLICIT_STEP}; refine the time grid"
         )
     k = model.n_states
     ns, ny1 = grid.log_s.size, grid.y.size
@@ -156,8 +139,8 @@ def solve_price_fd(
             for j, lam in exits_next[i]:
                 rhs = rhs + dt * lam * (age0[j][:, None] - shifted)
             if has_jumps:
-                q = -float(model.j_ratio(t1, i))
-                jump_term = b0 @ old[i] - q * (b1 @ old[i])
+                ratio = float(model.j_ratio(t1, i))
+                jump_term = b0 @ old[i] + ratio * (b1 @ old[i])
                 rhs = rhs + dt * jump_term[:, next_row]
             ab = banded[i] if banded is not None else _banded_operator(model, grid, i, t0, dt)
             vals[n, i] = solve_banded((1, 1), ab, rhs)

@@ -22,7 +22,7 @@ which shifts the Brownian drift by ``J sigma`` and tilts jump marks by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +34,12 @@ __all__ = [
     "JumpSpec",
     "JumpIntegrals",
     "MarketModel",
-    "EmmCoefficients",
     "NoArbitrageReport",
-    "MvTradeoff",
     "PathRecord",
     "jump_integrals",
     "check_no_arbitrage",
-    "mmm_coefficients",
     "simulate_asset_path",
     "radon_nikodym_path",
-    "mv_tradeoff",
     "market_model_from_dict",
 ]
 
@@ -339,6 +335,26 @@ class MarketModel:
             np.asarray(sig) ** 2 + self.ints.int_eta_sq
         )
 
+    def drift_tilt(self, t, i: int):
+        """Drift tilt ``beta1 = mu - r + J sigma^2`` of the pricing flow,
+        vectorized in ``t``; ``beta1 + int Gamma eta dnu = 0``."""
+        sig2 = np.asarray(self.sigma(t, i)) ** 2
+        ints = self.ints
+        excess = self.mu[i] - self.r[i]
+        return (excess * ints.int_eta_sq - sig2 * ints.int_eta) / (sig2 + ints.int_eta_sq)
+
+    def drift_tilt_integral(self, t0: float, t1: float, i: int) -> float:
+        """``int_t0^t1 beta1(u, i) du``, closed form for constant volatility."""
+        if self.sigma_values is not None:
+            return float(self.drift_tilt(t0, i)) * (t1 - t0)
+        return self.time_integral(lambda tt: self.drift_tilt(tt, i), t0, t1)
+
+    def jump_tilt(self, t, i: int) -> np.ndarray:
+        """Jump tilt ``Gamma = 1 + J eta`` on the jump nodes, shape
+        ``t.shape + (n_nodes,)``; the measure change is admissible iff it
+        stays positive."""
+        return 1.0 + np.multiply.outer(self.j_ratio(t, i), self.jump.eta_vals)
+
     def to_dict(self) -> dict:
         if self.sigma_values is not None:
             sigma = {"kind": "constant", "values": self.sigma_values.tolist()}
@@ -428,12 +444,10 @@ def check_no_arbitrage(model: MarketModel, t_grid=None) -> NoArbitrageReport:
                 np.linspace(0.0, model.horizon, 101), model.sigma_table[0]
             )
     t_grid = np.asarray(t_grid, dtype=float)
-    eta = model.jump.eta_vals
     worst = math.inf
     witness = (None, None, None)
     for i in range(model.n_states):
-        ratios = model.j_ratio(t_grid, i)
-        margins = 1.0 + np.outer(ratios, eta)
+        margins = model.jump_tilt(t_grid, i)
         idx = np.unravel_index(np.argmin(margins), margins.shape)
         if margins[idx] < worst:
             worst = float(margins[idx])
@@ -444,59 +458,6 @@ def check_no_arbitrage(model: MarketModel, t_grid=None) -> NoArbitrageReport:
         witness_t=witness[0],
         witness_state=witness[1],
         witness_z=witness[2],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Measure-change coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmmCoefficients:
-    """Coefficients of the minimal martingale measure at ``(t, i)``."""
-
-    ratio: float
-    drift_shift: float
-    gamma: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "drift_shift": self.drift_shift,
-            "gamma": self.gamma.tolist(),
-        }
-
-
-def mmm_coefficients(model: MarketModel, t: float, i: int) -> EmmCoefficients:
-    """Ratio ``J``, Brownian drift shift ``J sigma``, and jump tilts
-    ``Gamma = 1 + J eta`` on the nodes."""
-    ratio = float(model.j_ratio(t, i))
-    return EmmCoefficients(
-        ratio=ratio,
-        drift_shift=ratio * float(model.sigma(t, i)),
-        gamma=1.0 + ratio * model.jump.eta_vals,
-    )
-
-
-@dataclass(frozen=True)
-class MvTradeoff:
-    """Local mean-variance tradeoff at ``(t, i, s_star)``: the drift
-    adjustment per unit stock and the quadratic compensation rate."""
-
-    drift_adjustment: float
-    variance_rate: float
-
-    def to_dict(self) -> dict:
-        return {"drift_adjustment": self.drift_adjustment, "variance_rate": self.variance_rate}
-
-
-def mv_tradeoff(model: MarketModel, t: float, i: int, s_star: float) -> MvTradeoff:
-    excess = model.mu[i] - model.r[i] + model.ints.int_eta
-    denom = float(model.sigma(t, i)) ** 2 + model.ints.int_eta_sq
-    return MvTradeoff(
-        drift_adjustment=excess / (s_star * denom),
-        variance_rate=excess**2 / denom,
     )
 
 

@@ -23,6 +23,7 @@ results bit for bit regardless of scheduling.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,11 @@ class McEstimate:
         }
 
 
-def _child_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    # one independent stream per path; reduction order is the path order
+def _child_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
+    # one independent stream per path; reduction order is the path order.
+    # Generators are made as they are consumed, not held n at a time.
     seqs = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(s)) for s in seqs]
+    return (np.random.Generator(np.random.PCG64(s)) for s in seqs)
 
 
 def _estimate(vals: np.ndarray, seed: int, level: float) -> McEstimate:
@@ -104,20 +106,19 @@ def _require_admissible(model: MarketModel) -> None:
         )
 
 
-def _ratio_bounds(model: MarketModel, t0: float, t1: float, i: int) -> tuple[float, float]:
-    """Extremes of the measure-change ratio over ``[t0, t1]`` for regime ``i``.
+def _tilt_bound(model: MarketModel, t0: float, t1: float, i: int) -> float:
+    """Largest jump tilt over ``[t0, t1]`` and the nodes for regime ``i``.
 
-    The ratio is monotone in the volatility and the tabulated volatility is
-    piecewise linear, so the candidates are the interval ends and interior
-    knots.
+    The tilt is monotone in the measure-change ratio, which is monotone in
+    the volatility, and the tabulated volatility is piecewise linear, so the
+    candidate times are the interval ends and interior knots.
     """
     if model.sigma_values is not None:
-        ratio = float(model.j_ratio(t0, i))
-        return ratio, ratio
-    knots = model.sigma_table[0]
-    ts = [t0, t1] + [float(u) for u in knots if t0 < u < t1]
-    vals = [float(model.j_ratio(u, i)) for u in ts]
-    return min(vals), max(vals)
+        ts = np.array([t0])
+    else:
+        knots = model.sigma_table[0]
+        ts = np.array([t0, t1] + [float(u) for u in knots if t0 < u < t1])
+    return float(model.jump_tilt(ts, i).max())
 
 
 def _terminal_under_q(
@@ -154,8 +155,7 @@ def _terminal_under_q(
         if mass == 0.0:
             continue
         # dominate the tilted intensity, then thin against the tilt factor
-        lo, hi = _ratio_bounds(model, t0, t1, i)
-        bound = max(1.0 + a * b for a in (lo, hi) for b in (eta.min(), eta.max()))
+        bound = _tilt_bound(model, t0, t1, i)
         rate = mass * bound
         t = t0
         while True:
@@ -163,7 +163,7 @@ def _terminal_under_q(
             if t >= t1:
                 break
             k = min(int(np.searchsorted(cdf, rng.random())), cdf.size - 1)
-            gamma = 1.0 + float(model.j_ratio(t, i)) * float(eta[k])
+            gamma = float(model.jump_tilt(t, i)[k])
             if gamma < 0.0:
                 raise ValueError(
                     f"nonpositive jump tilt at t={t:.6g}: measure change inadmissible"

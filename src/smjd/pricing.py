@@ -14,9 +14,7 @@ piecewise-linear-in-log interpolant against the shifted normal kernel
 (normal partial moments cell by cell, lognormal partial moments for the
 linear-in-spot tails).  That keeps one-step conservativity at rounding
 level regardless of how stiff the switching rates are, and integrates
-payoff kinks that sit on grid nodes exactly.  Plain Gauss-Hermite
-quadrature stays available for free-standing expectations of smooth
-functions; its kink limitation is documented in the tests.
+payoff kinks that sit on grid nodes exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,26 +32,17 @@ from .regimes import cumulative_hazard
 __all__ = [
     "AdmissibilityWarning",
     "GridResolutionError",
-    "BetaCoefficients",
-    "KernelParams",
     "SurfaceGrid",
     "PriceSurface",
     "EvolutionResult",
-    "compute_betas",
-    "beta1_integral",
-    "kernel_params",
-    "lognormal_expect",
     "build_grid",
     "evolution_step",
     "evolution_apply",
     "jump_operator",
     "solve_price",
     "hedge_ratio",
-    "growth_rate_sup",
 ]
 
-#: default Gauss-Hermite order of ``lognormal_expect``
-QUAD_ORDER = 64
 #: default half width of the log-spot grid, in units of sigma * sqrt(T)
 GRID_WIDTH = 6.0
 #: one-step conservativity defect that aborts a solve
@@ -67,104 +55,6 @@ class AdmissibilityWarning(UserWarning):
 
 class GridResolutionError(RuntimeError):
     """The grid is too coarse for the requested solve."""
-
-
-# ---------------------------------------------------------------------------
-# Tilt coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BetaCoefficients:
-    """Drift tilt ``beta1`` and jump tilt ``beta2`` on the jump nodes."""
-
-    drift_tilt: float
-    jump_tilt: np.ndarray
-
-
-def _beta1(model: MarketModel, t, i: int):
-    """Drift tilt, vectorized in ``t``."""
-    sig2 = np.asarray(model.sigma(t, i)) ** 2
-    ints = model.ints
-    excess = model.mu[i] - model.r[i]
-    return (excess * ints.int_eta_sq - sig2 * ints.int_eta) / (sig2 + ints.int_eta_sq)
-
-
-def compute_betas(model: MarketModel, t: float, i: int) -> BetaCoefficients:
-    """Measure tilts at ``(t, i)``: scalar drift tilt and per-node jump tilt.
-
-    The two satisfy ``beta1 + int beta2 eta dnu = 0`` identically and the
-    jump tilt coincides with the measure-change factor ``1 + J eta``.
-    """
-    sig2 = float(model.sigma(t, i)) ** 2
-    ints = model.ints
-    q = (model.mu[i] - model.r[i] + ints.int_eta) / (sig2 + ints.int_eta_sq)
-    return BetaCoefficients(
-        drift_tilt=float(_beta1(model, t, i)),
-        jump_tilt=1.0 - q * model.jump.eta_vals,
-    )
-
-
-def beta1_integral(model: MarketModel, t0: float, t1: float, i: int) -> float:
-    """``int_t0^t1 beta1(u, i) du``, closed form for constant volatility."""
-    if model.sigma_values is not None:
-        return float(_beta1(model, t0, i)) * (t1 - t0)
-    return model.time_integral(lambda tt: _beta1(model, tt, i), t0, t1)
-
-
-def growth_rate_sup(model: MarketModel) -> float:
-    """Largest tilted drift rate ``r + beta1`` over regimes and time."""
-    if model.sigma_values is not None:
-        ts = np.zeros(1)
-    else:
-        ts = np.linspace(0.0, model.horizon, 201)
-    return max(
-        float(np.max(model.r[i] + _beta1(model, ts, i)))
-        for i in range(model.n_states)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lognormal kernel
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Log-mean and log-variance of the one-step spot kernel."""
-
-    log_mean: float
-    log_var: float
-
-
-def kernel_params(model: MarketModel, s: float, i: int, t: float, v: float) -> KernelParams:
-    """Kernel of the tilted flow from ``(t, s)`` over a horizon ``v`` in
-    regime ``i`` (no switch, no jump): lognormal with drift ``r + beta1``."""
-    log_var = model.sigma_sq_integral(t, t + v, i)
-    log_mean = (
-        math.log(s) + model.r[i] * v + beta1_integral(model, t, t + v, i) - 0.5 * log_var
-    )
-    return KernelParams(log_mean=log_mean, log_var=log_var)
-
-
-@lru_cache(maxsize=8)
-def _gauss_hermite(order: int):
-    x, w = np.polynomial.hermite.hermgauss(order)
-    return x, w / math.sqrt(math.pi)
-
-
-def lognormal_expect(fn, params: KernelParams, order: int = QUAD_ORDER) -> float:
-    """Gauss-Hermite expectation of ``fn`` under the lognormal kernel.
-
-    Accurate to quadrature order for smooth integrands; a kink well inside
-    the bulk of the distribution degrades this to a few parts per thousand
-    (see the tests), which is why the grid solver does not use it.
-    """
-    if params.log_var <= 0.0:
-        return float(fn(math.exp(params.log_mean)))
-    x, w = _gauss_hermite(order)
-    vals = fn(np.exp(params.log_mean + math.sqrt(2.0 * params.log_var) * x))
-    return float(np.dot(w, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +260,11 @@ class _EvolutionEngine:
             self.b0, self.b1 = _jump_matrices(model, grid)
         else:
             self.b0 = self.b1 = None
+        # constant volatility: one kernel per regime serves every step;
+        # tabulated: only the kernels of the latest ``t0`` are kept, since a
+        # step asks for them twice and each is a dense n x n matrix
         self._kernels = None
+        self._kernel_t0 = None
         if model.sigma_values is not None:
             self._kernels = [self._build_kernel(i, 0.0) for i in range(k)]
 
@@ -378,15 +272,16 @@ class _EvolutionEngine:
         var = self.model.sigma_sq_integral(t0, t0 + self.dt, i)
         drift = (
             self.model.r[i] * self.dt
-            + beta1_integral(self.model, t0, t0 + self.dt, i)
+            + self.model.drift_tilt_integral(t0, t0 + self.dt, i)
             - 0.5 * var
         )
         return _projection_matrix(self.grid.log_s, drift, var)
 
     def kernel(self, i: int, t0: float) -> np.ndarray:
-        if self._kernels is not None:
-            return self._kernels[i]
-        return self._build_kernel(i, t0)
+        if self.model.sigma_values is None and t0 != self._kernel_t0:
+            self._kernels = [self._build_kernel(j, t0) for j in range(self.model.n_states)]
+            self._kernel_t0 = t0
+        return self._kernels[i]
 
     def u_step(self, vals: np.ndarray, t0: float) -> np.ndarray:
         """One backward step of the switch-free-jump flow over
@@ -408,14 +303,14 @@ class _EvolutionEngine:
 
     def correction(self, vals: np.ndarray, t: float) -> np.ndarray:
         """``(B(t) - r) vals`` with the jump operator split as
-        ``B0 - q(t, i) B1``."""
+        ``B0 + J(t, i) B1``."""
         out = np.empty_like(vals)
         for i in range(self.model.n_states):
             v = vals[i]
             acc = -self.model.r[i] * v
             if self.b0 is not None:
-                q = -float(self.model.j_ratio(t, i))
-                acc = acc + self.b0 @ v - q * (self.b1 @ v)
+                ratio = float(self.model.j_ratio(t, i))
+                acc = acc + self.b0 @ v + ratio * (self.b1 @ v)
             out[i] = acc
         return out
 
@@ -472,8 +367,7 @@ def jump_operator(model: MarketModel, t: float, grid: SurfaceGrid, values) -> np
     flat = vals.reshape(model.n_states, grid.log_s.size, -1)
     out = np.empty_like(flat)
     for i in range(model.n_states):
-        q = -float(model.j_ratio(t, i))
-        out[i] = b0 @ flat[i] - q * (b1 @ flat[i])
+        out[i] = b0 @ flat[i] + float(model.j_ratio(t, i)) * (b1 @ flat[i])
     return out.reshape(vals.shape)
 
 
@@ -506,6 +400,11 @@ class PriceSurface:
         x = np.asarray(x, dtype=int)
         y = np.asarray(y, dtype=float)
         s, x, y = np.broadcast_arrays(s, x, y)
+        # negative indices would silently wrap to the last regimes
+        if np.any((x < 0) | (x >= arr.shape[1])):
+            raise ValueError(f"regime index outside [0, {arr.shape[1]})")
+        if np.any(y < 0.0):
+            raise ValueError("regime age must be nonnegative")
         ug = grid.log_s
         n = ug.size
         h = ug[1] - ug[0]
@@ -580,13 +479,22 @@ class PriceSurface:
         )
 
 
-def solve_price(
-    model: MarketModel,
-    payoff,
-    grid: SurfaceGrid,
-    conservativity_tol: float = CONSERVATIVITY_TOL,
-    check_admissibility: bool = True,
-) -> PriceSurface:
+def _warn_if_inadmissible(model: MarketModel) -> None:
+    """Warn, naming the worst margin and its witness, when the pricing
+    measure is not positive everywhere; the solvers still run."""
+    report = check_no_arbitrage(model)
+    if not report.passed:
+        warnings.warn(
+            "pricing measure is not positive everywhere "
+            f"(worst margin {report.worst_margin:.4g} at t={report.witness_t}, "
+            f"state {report.witness_state}, z={report.witness_z}); "
+            "prices are formal",
+            AdmissibilityWarning,
+            stacklevel=3,
+        )
+
+
+def solve_price(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
     """Backward induction for the terminal payoff ``payoff(s)``: evolution
     step plus trapezoidal jump/discount correction, second order in the
     time step.  Fills prices and hedge ratios on the full grid.
@@ -595,28 +503,18 @@ def solve_price(
     ------
     GridResolutionError
         If a single evolution step fails to conserve constants to
-        ``conservativity_tol``.
+        ``CONSERVATIVITY_TOL``.
     """
-    if check_admissibility:
-        report = check_no_arbitrage(model)
-        if not report.passed:
-            warnings.warn(
-                "pricing measure is not positive everywhere "
-                f"(worst margin {report.worst_margin:.4g} at t={report.witness_t}, "
-                f"state {report.witness_state}, z={report.witness_z}); "
-                "prices are formal",
-                AdmissibilityWarning,
-                stacklevel=2,
-            )
+    _warn_if_inadmissible(model)
     engine = _EvolutionEngine(model, grid)
     k = model.n_states
     ns, ny1 = grid.log_s.size, grid.y.size
     n_time = grid.t.size - 1
     ones = np.ones((k, ns, ny1))
     defect = float(np.abs(engine.u_step(ones, grid.t[n_time - 1]) - 1.0).max())
-    if defect > conservativity_tol:
+    if defect > CONSERVATIVITY_TOL:
         raise GridResolutionError(
-            f"one-step conservativity defect {defect:.3e} exceeds {conservativity_tol:.1e}"
+            f"one-step conservativity defect {defect:.3e} exceeds {CONSERVATIVITY_TOL:.1e}"
         )
     vals = np.empty((n_time + 1, k, ns, ny1))
     vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]

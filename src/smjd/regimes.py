@@ -18,7 +18,7 @@ otherwise by bracketed root finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,11 +36,9 @@ __all__ = [
     "validate_rates",
     "cumulative_hazard",
     "holding_cdf",
-    "holding_density",
     "embedded_probs",
     "sample_transition",
     "simulate_regime_path",
-    "apply_generator",
 ]
 
 #: absolute tolerance of the hazard-inversion root finder
@@ -267,13 +265,6 @@ def holding_cdf(spec: RateSpec, i: int, y):
     return -np.expm1(-cumulative_hazard(spec, i, y))
 
 
-def holding_density(spec: RateSpec, i: int, y):
-    """Density of the holding time: total rate times survival."""
-    y = np.asarray(y, dtype=float)
-    out = spec.total_rate(i, y) * np.exp(-cumulative_hazard(spec, i, y))
-    return out if out.ndim else float(out)
-
-
 def embedded_probs(spec: RateSpec, i: int, y: float) -> np.ndarray:
     """Distribution of the next state given a switch out of ``i`` at age ``y``.
 
@@ -476,8 +467,9 @@ class RegimePath:
 
     def segments(self):
         """Yield ``(t_start, t_end, state, age_at_start)`` pieces in order."""
-        bounds = np.concatenate([[0.0], self.times, [self.horizon]])
-        states = np.concatenate([[self.x0], self.states]).astype(int)
+        # plain lists: this runs once per Monte Carlo path
+        bounds = [0.0, *self.times.tolist(), self.horizon]
+        states = [self.x0, *self.states.tolist()]
         for n, s in enumerate(states):
             age0 = self.y0 if n == 0 else 0.0
             yield float(bounds[n]), float(bounds[n + 1]), int(s), age0
@@ -510,26 +502,3 @@ def simulate_regime_path(
         states=np.asarray(states, dtype=int),
     )
 
-
-# ---------------------------------------------------------------------------
-# Generator
-# ---------------------------------------------------------------------------
-
-
-def apply_generator(spec: RateSpec, fn, i: int, y: float, step: float = 1e-6) -> float:
-    """Apply the extended generator of ``(X, Y)`` to ``fn(state, age)``.
-
-    The age derivative uses a central difference of width ``step`` (one-sided
-    at the age-zero boundary); the switching part couples to fresh-age values:
-
-        d fn/dy (i, y) + sum_j rate(i, j, y) * (fn(j, 0) - fn(i, y))
-    """
-    if y >= step:
-        deriv = (fn(i, y + step) - fn(i, y - step)) / (2.0 * step)
-    else:
-        deriv = (fn(i, y + step) - fn(i, y)) / step
-    here = fn(i, y)
-    coupling = 0.0
-    for j, rate_fn in spec.exits(i):
-        coupling += float(rate_fn.value(y)) * (fn(j, 0.0) - here)
-    return deriv + coupling

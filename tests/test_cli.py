@@ -87,6 +87,13 @@ class TestCheck:
         assert report["passed"] is False
         assert report["no_arbitrage"]["worst_margin"] < 0.0
 
+    def test_negative_age_exits_one_without_report(self, write_config, tmp_path):
+        # a negative age would shrink the probed age range to nothing
+        cfg = write_config(base_config(y0=-1.0))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "check.json").exists()
+
     def test_missing_config_exits_three(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "absent.json")]) == 3
 
@@ -238,6 +245,26 @@ class TestPrice:
     def test_unknown_method_exits_one(self, write_config, tmp_path):
         cfg = write_config(base_config(method="tree"))
         assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"x0": 5},
+            {"x0": -1},
+            {"y0": -1.0},
+            {"grid": {"n_time": None, "n_space": 101, "n_age": 0}},
+            {"grid": {"n_time": 8, "n_space": 101, "width": float("inf")}},
+            {"method": "mc-q", "mc": {"n_paths": "400"}},
+        ],
+        ids=["x0-too-large", "x0-negative", "y0-negative", "n_time-null", "width-inf", "mc-string"],
+    )
+    def test_bad_input_rejected_before_solve(self, write_config, tmp_path, capsys, overrides):
+        cfg = write_config(base_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["price", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smjd: ")
+        assert not (out / "surface.csv").exists()
 
     def test_unstable_fd_grid_exits_two(self, write_config, tmp_path):
         cfg = write_config(

@@ -1,5 +1,5 @@
 """Tests for the market model: jump-measure reduction, admissibility,
-measure change, exact-in-law path simulation, and the tradeoff process.
+measure change, and exact-in-law path simulation.
 
 Benchmark oracle (frozen by hand): uniform jump density on [-1/2, 1] with
 clamped linear jump size eta(z) = max(min(z, 1), -1/2) gives
@@ -32,8 +32,6 @@ from smjd.market import (
     check_no_arbitrage,
     jump_integrals,
     market_model_from_dict,
-    mmm_coefficients,
-    mv_tradeoff,
     radon_nikodym_path,
     simulate_asset_path,
 )
@@ -184,27 +182,32 @@ class TestNoArbitrage:
 
 class TestMmmCoefficients:
     def test_ratio_value(self):
-        em = mmm_coefficients(single_regime_model(mu=0.08), t=0.0, i=0)
-        assert em.ratio == pytest.approx((0.05 - 0.08 - INT_ETA) / (0.04 + INT_ETA2), rel=1e-12)
+        ratio = float(single_regime_model(mu=0.08).j_ratio(0.0, 0))
+        assert ratio == pytest.approx((0.05 - 0.08 - INT_ETA) / (0.04 + INT_ETA2), rel=1e-12)
 
     def test_girsanov_drift(self):
+        # the Brownian shift J sigma moves the log drift by J sigma^2
         model = single_regime_model(mu=0.08)
-        em = mmm_coefficients(model, t=0.0, i=0)
-        assert em.drift_shift == pytest.approx(em.ratio * 0.2, rel=1e-12)
+        ratio = (0.05 - 0.08 - INT_ETA) / (0.04 + INT_ETA2)
+        want = 0.08 - 0.05 + ratio * 0.04
+        assert float(model.drift_tilt(0.0, 0)) == pytest.approx(want, rel=1e-12)
 
     def test_gamma_positive_iff_admissible(self):
-        good = mmm_coefficients(single_regime_model(mu=0.08), 0.0, 0)
-        bad = mmm_coefficients(single_regime_model(mu=0.15), 0.0, 0)
-        assert np.all(good.gamma > 0.0)
-        assert np.any(bad.gamma <= 0.0)
+        good = single_regime_model(mu=0.08)
+        bad = single_regime_model(mu=0.15)
+        assert np.all(good.jump_tilt(0.0, 0) > 0.0) and check_no_arbitrage(good).passed
+        assert np.any(bad.jump_tilt(0.0, 0) <= 0.0) and not check_no_arbitrage(bad).passed
 
     def test_diffusive_degeneration(self):
         model = single_regime_model(
             mu=0.08, jump=JumpSpec(z=np.array([]), w=np.array([]), eta=EtaClamp(1.0, -0.5, 1.0))
         )
-        em = mmm_coefficients(model, 0.0, 0)
-        assert em.ratio == pytest.approx((0.05 - 0.08) / 0.04, rel=1e-12)
-        assert em.drift_shift == pytest.approx((0.05 - 0.08) / 0.2, rel=1e-12)
+        ratio = float(model.j_ratio(0.0, 0))
+        assert ratio == pytest.approx((0.05 - 0.08) / 0.04, rel=1e-12)
+        assert ratio * 0.2 == pytest.approx((0.05 - 0.08) / 0.2, rel=1e-12)
+        # without jumps the Brownian shift removes the whole excess drift
+        assert model.drift_tilt(0.0, 0) == 0.0
+        assert model.jump_tilt(0.0, 0).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +339,14 @@ class TestRadonNikodym:
 
 
 class TestMvTradeoff:
+    # the local mean-variance tradeoff of the discounted stock is -J: per
+    # unit of stock its drift adjustment is -J / s*, its rate -J * excess
     def test_benchmark_values(self):
-        model = single_regime_model(mu=0.08)
-        out = mv_tradeoff(model, t=0.0, i=0, s_star=100.0)
-        assert out.drift_adjustment == pytest.approx(
+        ratio = float(single_regime_model(mu=0.08).j_ratio(0.0, 0))
+        assert -ratio / 100.0 == pytest.approx(
             (0.08 - 0.05 + INT_ETA) / (100.0 * (0.04 + INT_ETA2)), rel=1e-12
         )
-        assert out.variance_rate == pytest.approx(
+        assert -ratio * (0.08 - 0.05 + INT_ETA) == pytest.approx(
             (0.08 - 0.05 + INT_ETA) ** 2 / (0.04 + INT_ETA2), rel=1e-12
         )
 
@@ -351,9 +355,8 @@ class TestMvTradeoff:
         model = single_regime_model(
             mu=0.05, jump=JumpSpec(z=np.array([]), w=np.array([]), eta=EtaClamp(1.0, -0.5, 1.0))
         )
-        out = mv_tradeoff(model, 0.0, 0, 100.0)
-        assert out.drift_adjustment == 0.0
-        assert out.variance_rate == 0.0
+        assert model.j_ratio(0.0, 0) == 0.0
+        assert model.drift_tilt(0.0, 0) == 0.0
 
 
 # ---------------------------------------------------------------------------

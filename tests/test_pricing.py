@@ -1,4 +1,4 @@
-"""Tests for payoffs, tilt coefficients, kernel expectations, the backward
+"""Tests for payoffs, tilt coefficients, kernel moments, the backward
 evolution operator, the price solver, and hedge ratios.
 
 Oracle arithmetic frozen here, for the uniform jump density on [-1/2, 1]
@@ -24,32 +24,24 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from smjd.market import (
-    EtaClamp,
-    JumpSpec,
-    MarketModel,
-    mmm_coefficients,
-    simulate_asset_path,
-)
+from smjd.market import EtaClamp, JumpSpec, MarketModel, simulate_asset_path
 from smjd.payoffs import Payoff, payoff_from_dict
 from smjd.pricing import (
     AdmissibilityWarning,
-    beta1_integral,
+    _EvolutionEngine,
     build_grid,
-    compute_betas,
     evolution_apply,
     evolution_step,
-    growth_rate_sup,
     hedge_ratio,
     jump_operator,
-    kernel_params,
-    lognormal_expect,
     solve_price,
 )
 from smjd.regimes import ConstantRate, RateSpec, WeibullRate
 
 BETA1_R0 = -0.00375 / 0.415
 BETA1_R1 = -0.03375 / 0.465
+J_R0 = (0.05 - 0.08 - 0.375) / (0.04 + 0.375)
+J_R1 = (0.05 - 0.05 - 0.375) / (0.09 + 0.375)
 BS_CALL_ATM = 10.450583572185565
 
 
@@ -57,13 +49,6 @@ def bs_call(s, k, r, sigma, t):
     d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * t) / (sigma * np.sqrt(t))
     d2 = d1 - sigma * np.sqrt(t)
     return s * norm.cdf(d1) - k * np.exp(-r * t) * norm.cdf(d2)
-
-
-def truncated_call(m, v, k):
-    """E[(X - k)+] for ln X ~ N(m, v), closed form."""
-    sd = np.sqrt(v)
-    d1 = (m - np.log(k) + v) / sd
-    return np.exp(m + v / 2) * norm.cdf(d1) - k * norm.cdf(d1 - sd)
 
 
 def make_jump(n=201):
@@ -187,28 +172,28 @@ class TestPayoffs:
 
 class TestBetas:
     def test_benchmark_drift_tilt(self, bench):
-        assert compute_betas(bench, 0.3, 0).drift_tilt == pytest.approx(BETA1_R0, rel=1e-12)
-        assert compute_betas(bench, 0.3, 1).drift_tilt == pytest.approx(BETA1_R1, rel=1e-12)
+        assert float(bench.drift_tilt(0.3, 0)) == pytest.approx(BETA1_R0, rel=1e-12)
+        assert float(bench.drift_tilt(0.3, 1)) == pytest.approx(BETA1_R1, rel=1e-12)
 
     def test_jump_tilt_matches_measure_change(self, bench):
-        for i in (0, 1):
-            b = compute_betas(bench, 0.0, i)
-            g = mmm_coefficients(bench, 0.0, i).gamma
-            assert np.abs(b.jump_tilt - g).max() <= 1e-12
+        # Gamma = 1 + J eta on the nodes
+        for i, ratio in ((0, J_R0), (1, J_R1)):
+            assert float(bench.j_ratio(0.0, i)) == pytest.approx(ratio, rel=1e-12)
+            want = 1.0 + ratio * bench.jump.eta_vals
+            assert np.abs(bench.jump_tilt(0.0, i) - want).max() <= 1e-12
 
     def test_tilt_identity(self, bench):
-        # beta1 + int beta2 eta dnu = 0
+        # beta1 + int Gamma eta dnu = 0
         w, eta = bench.jump.w, bench.jump.eta_vals
         for i in (0, 1):
             for t in (0.0, 0.4):
-                b = compute_betas(bench, t, i)
-                assert abs(b.drift_tilt + np.dot(w, b.jump_tilt * eta)) <= 1e-12
+                beta1 = float(bench.drift_tilt(t, i))
+                assert abs(beta1 + np.dot(w, bench.jump_tilt(t, i) * eta)) <= 1e-12
 
     def test_no_jump_degeneration(self):
         m = single_regime_model(jump=empty_jump())
-        b = compute_betas(m, 0.0, 0)
-        assert b.drift_tilt == 0.0
-        assert b.jump_tilt.size == 0
+        assert m.drift_tilt(0.0, 0) == 0.0
+        assert m.jump_tilt(0.0, 0).size == 0
 
     @given(
         sigma=st.floats(0.05, 0.6),
@@ -227,8 +212,8 @@ class TestBetas:
             horizon=1.0,
             sigma_values=[sigma],
         )
-        b = compute_betas(m, 0.0, 0)
-        assert abs(b.drift_tilt + w * b.jump_tilt[0] * eta) <= 1e-12
+        beta1 = float(m.drift_tilt(0.0, 0))
+        assert abs(beta1 + w * m.jump_tilt(0.0, 0)[0] * eta) <= 1e-12
 
 
 class EtaTableLike:
@@ -244,12 +229,23 @@ class EtaTableLike:
         return {"kind": "table", "z": [0.0, 1.0], "value": [self.eta, self.eta]}
 
 
+def kernel_moments(model, s, i, t, v):
+    """Log-mean and log-variance of the tilted flow from ``(t, s)`` over a
+    horizon ``v`` in regime ``i``: lognormal with drift ``r + beta1``."""
+    log_var = model.sigma_sq_integral(t, t + v, i)
+    log_mean = (
+        np.log(s) + model.r[i] * v + model.drift_tilt_integral(t, t + v, i) - 0.5 * log_var
+    )
+    return log_mean, log_var
+
+
 class TestKernelParams:
     def test_constant_sigma_closed_form(self, bench):
-        p = kernel_params(bench, s=100.0, i=0, t=0.2, v=0.5)
-        assert p.log_var == pytest.approx(0.04 * 0.5, rel=1e-12)
+        assert bench.drift_tilt_integral(0.2, 0.7, 0) == pytest.approx(BETA1_R0 * 0.5, rel=1e-12)
+        log_mean, log_var = kernel_moments(bench, s=100.0, i=0, t=0.2, v=0.5)
+        assert log_var == pytest.approx(0.04 * 0.5, rel=1e-12)
         want = np.log(100.0) + (0.05 + BETA1_R0 - 0.02) * 0.5
-        assert p.log_mean == pytest.approx(want, rel=1e-12)
+        assert log_mean == pytest.approx(want, rel=1e-12)
 
     def test_time_varying_sigma(self):
         # sigma(t) = 0.2 + 0.1 t tabulated on two knots
@@ -261,50 +257,14 @@ class TestKernelParams:
             horizon=1.0,
             sigma_table=([0.0, 1.0], [[0.2, 0.3]]),
         )
-        p = kernel_params(m, s=100.0, i=0, t=0.0, v=1.0)
-        assert p.log_var == pytest.approx(0.19 / 3.0, rel=1e-9)
+        log_mean, log_var = kernel_moments(m, s=100.0, i=0, t=0.0, v=1.0)
+        assert log_var == pytest.approx(0.19 / 3.0, rel=1e-9)
         tt = np.linspace(0.0, 1.0, 200001)
         sig2 = (0.2 + 0.1 * tt) ** 2
         b1 = (0.03 * 0.375 - sig2 * 0.375) / (sig2 + 0.375)
         ref = np.log(100.0) + 0.05 + np.trapezoid(b1, tt) - 0.19 / 6.0
-        assert p.log_mean == pytest.approx(ref, rel=1e-8)
-        assert beta1_integral(m, 0.0, 1.0, 0) == pytest.approx(np.trapezoid(b1, tt), rel=1e-8)
-
-
-class TestLognormalExpect:
-    M, V = np.log(100.0), 0.04
-
-    def params(self, v=None):
-        from smjd.pricing import KernelParams
-
-        return KernelParams(log_mean=self.M, log_var=self.V if v is None else v)
-
-    def test_identity_function(self):
-        got = lognormal_expect(lambda x: x, self.params())
-        assert got == pytest.approx(np.exp(self.M + self.V / 2), rel=1e-12)
-
-    def test_constant_function(self):
-        assert lognormal_expect(lambda x: np.ones_like(x), self.params()) == pytest.approx(1.0, abs=1e-14)
-
-    def test_second_moment(self):
-        got = lognormal_expect(lambda x: x**2, self.params())
-        assert got == pytest.approx(np.exp(2 * self.M + 2 * self.V), rel=1e-10)
-
-    def test_deep_tail_kink(self):
-        # kink 8 standard deviations below the mode: node placement resolves it
-        got = lognormal_expect(lambda x: np.maximum(x - 20.0, 0.0), self.params())
-        assert got == pytest.approx(truncated_call(self.M, self.V, 20.0), rel=1e-8)
-
-    def test_central_kink_is_limited(self):
-        # a kink at the distribution center defeats plain Gauss-Hermite;
-        # the backward solver uses exact piecewise projection instead
-        got = lognormal_expect(lambda x: np.maximum(x - 100.0, 0.0), self.params())
-        rel = abs(got / truncated_call(self.M, self.V, 100.0) - 1.0)
-        assert 1e-4 < rel < 2e-2
-
-    def test_zero_variance_collapses(self):
-        got = lognormal_expect(lambda x: x + 1.0, self.params(v=0.0))
-        assert got == pytest.approx(np.exp(self.M) + 1.0, rel=1e-15)
+        assert log_mean == pytest.approx(ref, rel=1e-8)
+        assert m.drift_tilt_integral(0.0, 1.0, 0) == pytest.approx(np.trapezoid(b1, tt), rel=1e-8)
 
 
 class TestGrid:
@@ -353,8 +313,8 @@ class TestJumpOperator:
         mask = (g.log_s + np.log1p(lo) >= g.log_s[0]) & (g.log_s + np.log1p(hi) <= g.log_s[-1])
         for t in (0.0, 0.7):
             for i in (0, 1):
-                b = compute_betas(bench, t, i)
-                bound = np.abs(b.jump_tilt).max() * (2.0 * ints.mass + max(ints.int_eta, 0.0))
+                gamma = bench.jump_tilt(t, i)
+                bound = np.abs(gamma).max() * (2.0 * ints.mass + max(ints.int_eta, 0.0))
                 for _ in range(60):
                     gfun = rng.uniform(-1.0, 1.0, s.size)
                     vals = np.zeros((2, s.size))
@@ -442,9 +402,13 @@ class TestEvolution:
         g = build_grid(m, s_ref=1.0, n_time=1, n_space=1201, n_age=0)
         res = evolution_apply(m, lambda s, i, y: s / (1.0 + s), 0.3, g)
         got = res.values[0, 0, g.ref_index, 0]
-        p = kernel_params(m, s=1.0, i=0, t=0.0, v=0.3)
+        # lognormal kernel with drift r + beta1, beta1 by hand from the
+        # frozen jump integrals (int eta = int eta^2 = 0.375)
+        beta1 = (0.03 * 0.375 - 0.25 * 0.375) / (0.25 + 0.375)
+        log_var = 0.25 * 0.3
+        log_mean = (0.05 + beta1) * 0.3 - 0.5 * log_var
         ref, _ = quad(
-            lambda x: (lambda u: u / (1 + u))(np.exp(p.log_mean + np.sqrt(p.log_var) * x)) * norm.pdf(x),
+            lambda x: (lambda u: u / (1 + u))(np.exp(log_mean + np.sqrt(log_var) * x)) * norm.pdf(x),
             -10.0, 10.0, epsabs=1e-13, epsrel=1e-13,
         )
         assert got == pytest.approx(ref, rel=1e-6)
@@ -524,13 +488,12 @@ class TestSolvePrice:
         surf = bench_call_surface
         s = surf.grid.s
         ints = bench.ints
-        sup_b2 = max(
-            np.abs(compute_betas(bench, t, i).jump_tilt).max()
-            for t in np.linspace(0.0, 1.0, 11)
-            for i in (0, 1)
-        )
+        ts = np.linspace(0.0, 1.0, 11)
+        sup_b2 = max(np.abs(bench.jump_tilt(ts, i)).max() for i in (0, 1))
+        # largest tilted drift rate r + beta1 over regimes and time
+        growth = max(float(np.max(bench.r[i] + bench.drift_tilt(ts, i))) for i in (0, 1))
         rate = (
-            max(growth_rate_sup(bench), 0.0)
+            max(growth, 0.0)
             + np.abs(bench.r).max()
             + sup_b2 * (2.0 * ints.mass + max(ints.int_eta, 0.0))
         )
@@ -552,6 +515,38 @@ class TestSolvePrice:
         b = solve_price(bench, Payoff(kind="call", strikes=(100.0,)), grid)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.hedge, b.hedge)
+
+    def test_tabulated_sigma_builds_each_kernel_once(self, monkeypatch):
+        # each step applies the kernels of its t0 twice; they are built once
+        rates = RateSpec(n_states=2, rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)})
+        m = MarketModel(
+            rates=rates, r=[0.05, 0.04], mu=[0.06, 0.05], jump=make_jump(51), horizon=1.0,
+            sigma_table=([0.0, 0.5, 1.0], [[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]]),
+        )
+        grid = build_grid(m, s_ref=100.0, n_time=12, n_space=101, n_age=0)
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        builds = []
+        build = _EvolutionEngine._build_kernel
+
+        def counted(self, i, t0):
+            builds.append((i, t0))
+            return build(self, i, t0)
+
+        monkeypatch.setattr(_EvolutionEngine, "_build_kernel", counted)
+        cached = solve_price(m, payoff, grid)
+        assert len(builds) == 12 * 2
+        monkeypatch.setattr(_EvolutionEngine, "kernel", lambda self, i, t0: build(self, i, t0))
+        rebuilt = solve_price(m, payoff, grid)
+        assert np.array_equal(cached.values, rebuilt.values)
+        assert np.array_equal(cached.hedge, rebuilt.hedge)
+
+    def test_lookup_rejects_bad_regime_and_age(self, bench_call_surface):
+        surf = bench_call_surface
+        for x, y in ((-1, 0.0), (2, 0.0), (np.array([0, 2]), 0.0), (0, -0.1)):
+            with pytest.raises(ValueError):
+                surf.value_at(0.0, 100.0, x, y)
+            with pytest.raises(ValueError):
+                surf.hedge_at(0.0, 100.0, x, y)
 
     def test_surface_interpolation_consistency(self, bench_call_surface):
         surf = bench_call_surface

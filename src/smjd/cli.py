@@ -1,11 +1,11 @@
 """Command line interface.
 
-One JSON configuration file drives every subcommand; ``--seed``,
-``--out``, and ``--threads`` override the corresponding config entries.
-All artifacts are deterministic for a fixed seed: floats are written
-with round-trip precision, JSON keys are sorted, and Monte Carlo
-estimators reduce in path order (the engine itself runs single-threaded,
-so ``--threads`` never changes results).
+One JSON configuration file drives every subcommand; ``--seed`` and
+``--out`` override the corresponding config entries.  Every config value
+is read and checked before any solve or artifact, so a bad value exits
+with one ``smjd:`` line on stderr.  All artifacts are deterministic for
+a fixed seed: floats are written with round-trip precision, JSON keys
+are sorted, and Monte Carlo estimators reduce in path order.
 
 Subcommands
 -----------
@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
 import sys
 import time
@@ -50,6 +49,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._config import number, section, text
 from .fd import solve_price_fd
 from .market import (
     check_no_arbitrage,
@@ -57,7 +57,14 @@ from .market import (
     radon_nikodym_path,
     simulate_asset_path,
 )
-from .mc import _child_rngs, backtest_hedge, price_mc_p_weighted, price_mc_q
+from .mc import (
+    _child_rngs,
+    _require_rebalancing,
+    _require_sample,
+    backtest_hedge,
+    price_mc_p_weighted,
+    price_mc_q,
+)
 from .payoffs import payoff_from_dict
 from .pricing import GridResolutionError, build_grid, solve_price
 from .regimes import validate_rates
@@ -90,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker budget hint")
     return parser
 
 
@@ -101,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_model_file(cfg: dict, cfg_path: Path) -> None:
     """Inline a model given as a file path, resolved against the config's directory."""
-    ref = cfg.get("model", cfg.get("model_file"))
+    ref = cfg.get("model")
     if not isinstance(ref, str):
         return
     path = Path(ref)
@@ -110,65 +116,32 @@ def _resolve_model_file(cfg: dict, cfg_path: Path) -> None:
     cfg["model"] = json.loads(path.read_bytes())
 
 
-def _model_of(cfg: dict):
-    if "model" not in cfg:
-        raise ValueError("config requires a 'model' section")
-    return market_model_from_dict(cfg["model"])
-
-
-def _payoff_of(cfg: dict):
-    if "payoff" not in cfg:
-        raise ValueError("config requires a 'payoff' section")
-    return payoff_from_dict(cfg["payoff"])
-
-
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"'{name}' must be a JSON object")
-    return section
-
-
-def _number(section: dict, key: str, default, kind=float):
-    """``section[key]``, or ``default`` when absent, converted by ``kind``;
-    null, booleans, non-numbers and non-finite numbers are configuration
-    errors."""
-    value = section.get(key, default)
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-    return kind(value)
-
-
 def _age_of(cfg: dict) -> float:
-    y0 = _number(cfg, "y0", 0.0)
+    y0 = number(cfg, "y0", 0.0)
     if y0 < 0.0:
         raise ValueError(f"y0 = {y0} must be a nonnegative age")
     return y0
 
 
 def _state_of(cfg: dict, model) -> tuple[float, int, float]:
-    if "s0" not in cfg:
-        raise ValueError("config requires 's0'")
-    s0 = _number(cfg, "s0", None)
-    x0 = _number(cfg, "x0", 0, int)
+    s0 = number(cfg, "s0")
+    if not s0 > 0.0:
+        raise ValueError(f"s0 = {s0} must be a positive spot")
+    x0 = number(cfg, "x0", 0, int)
     if not 0 <= x0 < model.n_states:
         raise ValueError(f"x0 = {x0} is not a regime in [0, {model.n_states})")
     return s0, x0, _age_of(cfg)
 
 
-def _grid_of(cfg: dict, model):
-    g = _section(cfg, "grid")
-    s_ref = g.get("s_ref", cfg.get("s0"))
-    if s_ref is None:
-        raise ValueError("config requires 'grid.s_ref' or 's0'")
+def _grid_of(cfg: dict, model, s0: float):
+    g = section(cfg, "grid", {})
     return build_grid(
         model,
-        s_ref=_number(g, "s_ref", s_ref),
-        n_time=_number(g, "n_time", 50, int),
-        n_space=_number(g, "n_space", 401, int),
-        n_age=None if g.get("n_age") is None else _number(g, "n_age", None, int),
-        width=_number(g, "width", 6.0),
+        s_ref=number(g, "s_ref", s0),
+        n_time=number(g, "n_time", 50, int),
+        n_space=number(g, "n_space", 401, int),
+        n_age=number(g, "n_age", None, int),
+        width=number(g, "width", 6.0),
     )
 
 
@@ -182,17 +155,9 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _cmd_check(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
-    y0 = _age_of(cfg)
-    opts = _section(cfg, "check")
-    y_max = y0 + model.horizon
-    rates_report = validate_rates(
-        model.rates,
-        y_max=y_max,
-        # probe the hazard tail far past the visited ages unless overridden
-        divergence_age=_number(opts, "divergence_age", 1000.0 * y_max),
-        divergence_threshold=_number(opts, "divergence_threshold", 30.0),
-    )
+    model = market_model_from_dict(section(cfg, "model"))
+    y_max = _age_of(cfg) + model.horizon
+    rates_report = validate_rates(model.rates, y_max=y_max)
     arb_report = check_no_arbitrage(model)
     passed = rates_report.passed and arb_report.passed
     _write_json(
@@ -207,7 +172,7 @@ def _cmd_check(cfg: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def _cmd_integrals(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
+    model = market_model_from_dict(section(cfg, "model"))
     ints = model.ints
     per_regime = []
     for i in range(model.n_states):
@@ -235,12 +200,12 @@ def _cmd_integrals(cfg: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
+    model = market_model_from_dict(section(cfg, "model"))
     s0, x0, y0 = _state_of(cfg, model)
     seed = cfg["seed"]
-    sim = _section(cfg, "simulate")
-    n_paths = _number(sim, "n_paths", 1, int)
-    n_record = _number(sim, "n_record", 0, int)
+    sim = section(cfg, "simulate", {})
+    n_paths = number(sim, "n_paths", 1, int)
+    n_record = number(sim, "n_record", 0, int)
     if n_paths < 1:
         raise ValueError("simulate.n_paths must be positive")
     record = np.linspace(0.0, model.horizon, n_record + 1) if n_record > 0 else None
@@ -275,8 +240,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> tuple[int, list[str]]:
     return EXIT_OK, files + ["simulate.json"]
 
 
-def _solve_surface(cfg: dict, model, payoff, method: str):
-    grid = _grid_of(cfg, model)
+def _solve_surface(cfg: dict, model, payoff, method: str, s0: float):
+    grid = _grid_of(cfg, model, s0)
     if method == "ie":
         return solve_price(model, payoff, grid)
     if method == "fd":
@@ -285,11 +250,11 @@ def _solve_surface(cfg: dict, model, payoff, method: str):
 
 
 def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
-    payoff = _payoff_of(cfg)
+    model = market_model_from_dict(section(cfg, "model"))
+    payoff = payoff_from_dict(section(cfg, "payoff"))
     s0, x0, y0 = _state_of(cfg, model)
     seed = cfg["seed"]
-    method = cfg.get("method", "ie")
+    method = text(cfg, "method", "ie")
     report: dict = {
         "method": method,
         "s0": s0,
@@ -298,8 +263,7 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
         "payoff": payoff.to_dict(),
     }
     if method in ("ie", "fd"):
-        surface = _solve_surface(cfg, model, payoff, method)
-        surface.to_csv(out / "surface.csv")
+        surface = _solve_surface(cfg, model, payoff, method, s0)
         grid = surface.grid
         report.update(
             {
@@ -313,13 +277,13 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
                 },
             }
         )
+        surface.to_csv(out / "surface.csv")
         artifacts = ["price.json", "surface.csv"]
-    elif method in ("mc-q", "mc-p", "mc", "mc-weighted"):
-        opts = _section(cfg, "mc")
-        n_paths = _number(opts, "n_paths", 10000, int)
-        level = _number(opts, "level", 0.99)
-        # "mc"/"mc-weighted" kept as aliases of the documented names.
-        pricer = price_mc_q if method in ("mc-q", "mc") else price_mc_p_weighted
+    elif method in ("mc-q", "mc-p"):
+        opts = section(cfg, "mc", {})
+        n_paths = number(opts, "n_paths", 10000, int)
+        level = number(opts, "level", 0.99)
+        pricer = price_mc_q if method == "mc-q" else price_mc_p_weighted
         est = pricer(model, payoff, s0, x0, y0, n_paths=n_paths, seed=seed, level=level)
         report.update({"price": est.value, "estimate": est.to_dict()})
         artifacts = ["price.json"]
@@ -330,15 +294,16 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
-    payoff = _payoff_of(cfg)
+    model = market_model_from_dict(section(cfg, "model"))
+    payoff = payoff_from_dict(section(cfg, "payoff"))
     s0, x0, y0 = _state_of(cfg, model)
     seed = cfg["seed"]
-    method = cfg.get("method", "ie")
-    opts = _section(cfg, "hedge")
-    n_paths = _number(opts, "n_paths", 1000, int)
-    n_rebalance = _number(opts, "n_rebalance", 250, int)
-    surface = _solve_surface(cfg, model, payoff, method)
+    method = text(cfg, "method", "ie")
+    opts = section(cfg, "hedge", {})
+    n_paths = number(opts, "n_paths", 1000, int)
+    n_rebalance = number(opts, "n_rebalance", 250, int)
+    _require_rebalancing(n_paths, n_rebalance)
+    surface = _solve_surface(cfg, model, payoff, method, s0)
     report = backtest_hedge(
         model,
         surface,
@@ -357,16 +322,17 @@ def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
 
 
 def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
-    model = _model_of(cfg)
-    payoff = _payoff_of(cfg)
+    model = market_model_from_dict(section(cfg, "model"))
+    payoff = payoff_from_dict(section(cfg, "payoff"))
     s0, x0, y0 = _state_of(cfg, model)
     seed = cfg["seed"]
-    opts = _section(cfg, "xval")
-    tolerance = _number(opts, "tolerance", 0.01)
-    mc_paths = _number(opts, "mc_paths", 200000, int)
-    level = _number(opts, "level", 0.99)
+    opts = section(cfg, "xval", {})
+    tolerance = number(opts, "tolerance", 0.01)
+    mc_paths = number(opts, "mc_paths", 200000, int)
+    level = number(opts, "level", 0.99)
+    _require_sample(mc_paths, level)
 
-    grid = _grid_of(cfg, model)
+    grid = _grid_of(cfg, model, s0)
     price_ie = solve_price(model, payoff, grid).price(0.0, s0, x0, y0)
     price_fd = solve_price_fd(model, payoff, grid).price(0.0, s0, x0, y0)
     est = price_mc_q(model, payoff, s0, x0, y0, n_paths=mc_paths, seed=seed, level=level)
@@ -434,7 +400,6 @@ def _write_manifest(
             "config": str(args.config),
             "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
             "seed": cfg["seed"],
-            "threads": args.threads,
             "versions": {
                 "smjd": __version__,
                 "numpy": np.__version__,
@@ -451,8 +416,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         cfg_path = Path(args.config)
         cfg_bytes = cfg_path.read_bytes()
         cfg = json.loads(cfg_bytes)
@@ -461,11 +424,13 @@ def main(argv=None) -> int:
         _resolve_model_file(cfg, cfg_path)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        cfg["seed"] = _number(cfg, "seed", 0, int)
-        out = Path(args.out) if args.out else Path(cfg.get("out", "smjd_out"))
+        cfg["seed"] = number(cfg, "seed", 0, int)
+        out = Path(args.out) if args.out else Path(text(cfg, "out", "smjd_out"))
         out.mkdir(parents=True, exist_ok=True)
         code, artifacts = _COMMANDS[args.command](cfg, out)
         _write_manifest(out, args, cfg_bytes, cfg, artifacts, time.perf_counter() - start)
+        if code != EXIT_OK:
+            print(f"smjd: {args.command} failed; see {out / artifacts[-1]}", file=sys.stderr)
         return code
     except (OSError, json.JSONDecodeError) as exc:
         print(f"smjd: i/o error: {exc}", file=sys.stderr)

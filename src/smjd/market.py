@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import array, number, section, text
 from .regimes import RateSpec, rate_spec_from_dict, simulate_regime_path
 
 __all__ = [
@@ -45,8 +46,10 @@ __all__ = [
 
 #: default node count for density-based jump measures
 DEFAULT_JUMP_NODES = 201
-#: default Simpson node count for time integrals of tabulated volatility
+#: Simpson node count for time integrals of tabulated volatility
 DEFAULT_TIME_NODES = 33
+#: uniform scan points of the admissibility check under tabulated volatility
+NO_ARBITRAGE_TIME_NODES = 101
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +59,6 @@ DEFAULT_TIME_NODES = 33
 
 class EtaClamp:
     """Clamped linear jump size ``eta(z) = max(min(slope * z, hi), lo)``."""
-
-    kind = "clamp"
 
     def __init__(self, slope: float, lo: float, hi: float):
         if not (lo > -1.0):
@@ -71,14 +72,9 @@ class EtaClamp:
     def value(self, z):
         return np.clip(self.slope * np.asarray(z, dtype=float), self.lo, self.hi)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "slope": self.slope, "lo": self.lo, "hi": self.hi}
-
 
 class EtaTable:
     """Tabulated jump size, linear between knots, constant beyond them."""
-
-    kind = "table"
 
     def __init__(self, z, value):
         z = np.asarray(z, dtype=float)
@@ -95,16 +91,13 @@ class EtaTable:
     def value(self, z):
         return np.interp(np.asarray(z, dtype=float), self.z, self.val)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "z": self.z.tolist(), "value": self.val.tolist()}
-
 
 def _eta_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = text(d, "kind")
     if kind == "clamp":
-        return EtaClamp(slope=d["slope"], lo=d["lo"], hi=d["hi"])
+        return EtaClamp(slope=number(d, "slope"), lo=number(d, "lo"), hi=number(d, "hi"))
     if kind == "table":
-        return EtaTable(z=d["z"], value=d["value"])
+        return EtaTable(z=array(d, "z"), value=array(d, "value"))
     raise ValueError(f"unknown eta kind {kind!r}")
 
 
@@ -184,36 +177,34 @@ class JumpSpec:
             return 0.0, 0.0
         return float(self.eta_vals.min()), float(self.eta_vals.max())
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta.to_dict(),
-            "nodes": [[float(a), float(b)] for a, b in zip(self.z, self.w)],
-        }
-
 
 def jump_spec_from_dict(d: dict) -> JumpSpec:
-    eta = _eta_from_dict(d["eta"])
+    eta = _eta_from_dict(section(d, "eta"))
     if "nodes" in d:
-        nodes = np.asarray(d["nodes"], dtype=float)
+        nodes = array(d, "nodes", ndim=2)
         if nodes.size == 0:
             return JumpSpec(z=np.empty(0), w=np.empty(0), eta=eta)
+        if nodes.shape[1] != 2:
+            raise ValueError("jump 'nodes' must be [z, w] pairs")
         return JumpSpec(z=nodes[:, 0], w=nodes[:, 1], eta=eta)
     if "density" in d:
-        dens = d["density"]
-        kind = dens.get("kind", "uniform")
-        scale = float(dens.get("scale", 1.0))
+        dens = section(d, "density")
+        kind = text(dens, "kind", "uniform")
+        scale = number(dens, "scale", 1.0)
         if kind == "uniform":
             fn = lambda z: scale * np.ones_like(z)
         elif kind == "gaussian":
-            mean, sd = float(dens["mean"]), float(dens["sd"])
+            mean, sd = number(dens, "mean"), number(dens, "sd")
             fn = lambda z: scale * np.exp(-0.5 * ((z - mean) / sd) ** 2) / (
                 sd * math.sqrt(2 * math.pi)
             )
         else:
             raise ValueError(f"unknown jump density kind {kind!r}")
-        return JumpSpec.from_density(
-            density=fn, interval=d["interval"], n=int(d.get("n", DEFAULT_JUMP_NODES)), eta=eta
-        )
+        interval = array(d, "interval")
+        if interval.shape != (2,):
+            raise ValueError("jump 'interval' must be [a, b]")
+        n = number(d, "n", DEFAULT_JUMP_NODES, int)
+        return JumpSpec.from_density(density=fn, interval=interval, n=n, eta=eta)
     raise ValueError("jump spec needs either explicit nodes or a density")
 
 
@@ -252,7 +243,6 @@ class MarketModel:
     horizon: float
     sigma_values: np.ndarray | None = None
     sigma_table: tuple | None = None
-    time_nodes: int = DEFAULT_TIME_NODES
 
     def __post_init__(self):
         k = self.rates.n_states
@@ -281,8 +271,6 @@ class MarketModel:
             self.sigma_table = (t_knots, vals)
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive")
-        if self.time_nodes % 2 == 0:
-            self.time_nodes += 1
         self.ints = jump_integrals(self.jump)
 
     # -- volatility ---------------------------------------------------------
@@ -323,7 +311,7 @@ class MarketModel:
         """Composite Simpson with the model's shared time sub-grid."""
         if t1 <= t0:
             return 0.0
-        t, w = _simpson_weights(t0, t1, self.time_nodes)
+        t, w = _simpson_weights(t0, t1, DEFAULT_TIME_NODES)
         return float(np.dot(w, fn(t)))
 
     # -- measure change -----------------------------------------------------
@@ -355,49 +343,27 @@ class MarketModel:
         stays positive."""
         return 1.0 + np.multiply.outer(self.j_ratio(t, i), self.jump.eta_vals)
 
-    def to_dict(self) -> dict:
-        if self.sigma_values is not None:
-            sigma = {"kind": "constant", "values": self.sigma_values.tolist()}
-        else:
-            knots, vals = self.sigma_table
-            sigma = {"kind": "table", "t": knots.tolist(), "values": vals.tolist()}
-        return {
-            "regimes": self.rates.to_dict(),
-            "r": self.r.tolist(),
-            "mu": self.mu.tolist(),
-            "sigma": sigma,
-            "jump": self.jump.to_dict(),
-            "T": self.horizon,
-            "time_nodes": self.time_nodes,
-        }
-
 
 def market_model_from_dict(d: dict) -> MarketModel:
     """Build a :class:`MarketModel` from its dict form."""
-    try:
-        rates = rate_spec_from_dict(d["regimes"])
-        sigma = d["sigma"]
-        kwargs: dict = {}
-        if sigma["kind"] == "constant":
-            kwargs["sigma_values"] = np.asarray(sigma["values"], dtype=float)
-        elif sigma["kind"] == "table":
-            kwargs["sigma_table"] = (
-                np.asarray(sigma["t"], dtype=float),
-                np.asarray(sigma["values"], dtype=float),
-            )
-        else:
-            raise ValueError(f"unknown sigma kind {sigma['kind']!r}")
-        return MarketModel(
-            rates=rates,
-            r=np.asarray(d["r"], dtype=float),
-            mu=np.asarray(d["mu"], dtype=float),
-            jump=jump_spec_from_dict(d["jump"]),
-            horizon=float(d["T"] if "T" in d else d["horizon"]),
-            time_nodes=int(d.get("time_nodes", DEFAULT_TIME_NODES)),
-            **kwargs,
-        )
-    except KeyError as exc:
-        raise ValueError(f"malformed market model: missing {exc}") from exc
+    rates = rate_spec_from_dict(section(d, "regimes"))
+    sigma = section(d, "sigma")
+    kind = text(sigma, "kind")
+    kwargs: dict = {}
+    if kind == "constant":
+        kwargs["sigma_values"] = array(sigma, "values")
+    elif kind == "table":
+        kwargs["sigma_table"] = (array(sigma, "t"), array(sigma, "values", ndim=2))
+    else:
+        raise ValueError(f"unknown sigma kind {kind!r}")
+    return MarketModel(
+        rates=rates,
+        r=array(d, "r"),
+        mu=array(d, "mu"),
+        jump=jump_spec_from_dict(section(d, "jump")),
+        horizon=number(d, "T"),
+        **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +392,7 @@ class NoArbitrageReport:
         }
 
 
-def check_no_arbitrage(model: MarketModel, t_grid=None) -> NoArbitrageReport:
+def check_no_arbitrage(model: MarketModel) -> NoArbitrageReport:
     """Check the positivity of the tilted jump intensity everywhere.
 
     With constant volatility a single time point suffices; tabulated
@@ -436,14 +402,12 @@ def check_no_arbitrage(model: MarketModel, t_grid=None) -> NoArbitrageReport:
     """
     if model.jump.z.size == 0:
         return NoArbitrageReport(True, math.inf, None, None, None)
-    if t_grid is None:
-        if model.sigma_values is not None:
-            t_grid = np.array([0.0])
-        else:
-            t_grid = np.union1d(
-                np.linspace(0.0, model.horizon, 101), model.sigma_table[0]
-            )
-    t_grid = np.asarray(t_grid, dtype=float)
+    if model.sigma_values is not None:
+        t_grid = np.array([0.0])
+    else:
+        t_grid = np.union1d(
+            np.linspace(0.0, model.horizon, NO_ARBITRAGE_TIME_NODES), model.sigma_table[0]
+        )
     worst = math.inf
     witness = (None, None, None)
     for i in range(model.n_states):

@@ -78,9 +78,22 @@ def _child_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(s)) for s in seqs)
 
 
-def _estimate(vals: np.ndarray, seed: int, level: float) -> McEstimate:
+def _require_sample(n_paths: int, level: float) -> None:
+    """Reject a sample size or confidence level no estimate can use; run
+    before any path is simulated."""
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
+
+
+def _require_rebalancing(n_paths: int, n_rebalance: int) -> None:
+    """Reject backtest sizes ``backtest_hedge`` cannot use."""
+    if n_paths < 2 or n_rebalance < 1:
+        raise ValueError("need at least two paths and one rebalance interval")
+
+
+def _estimate(vals: np.ndarray, seed: int, level: float) -> McEstimate:
     n = vals.size
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n))
@@ -207,8 +220,7 @@ def price_mc_q(
     """
     if s0 <= 0:
         raise ValueError("spot must start positive")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
+    _require_sample(n_paths, level)
     _require_admissible(model)
     vals = np.empty(n_paths)
     for p, rng in enumerate(_child_rngs(seed, n_paths)):
@@ -236,8 +248,7 @@ def price_mc_p_weighted(
     """
     if s0 <= 0:
         raise ValueError("spot must start positive")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
+    _require_sample(n_paths, level)
     _require_admissible(model)
     vals = np.empty(n_paths)
     for p, rng in enumerate(_child_rngs(seed, n_paths)):
@@ -321,8 +332,7 @@ def backtest_hedge(
     -------
     BacktestReport
     """
-    if n_paths < 2 or n_rebalance < 1:
-        raise ValueError("need at least two paths and one rebalance interval")
+    _require_rebalancing(n_paths, n_rebalance)
     T = model.horizon
     times = np.linspace(0.0, T, n_rebalance + 1)
     dt = T / n_rebalance

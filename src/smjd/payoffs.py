@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._config import array, number, text
+
 __all__ = ["Payoff", "payoff_from_dict"]
 
 _KINDS = ("call", "put", "butterfly", "linear", "constant", "table")
@@ -94,27 +96,6 @@ class Payoff:
                 out = np.where(hi, vn[-1] + slope * (s - sn[-1]), out)
         return out if out.ndim else float(out)
 
-    def lipschitz(self) -> float:
-        """Lipschitz constant of the payoff on the half line."""
-        if self.kind in ("call", "put"):
-            return 1.0
-        if self.kind == "butterfly":
-            k1, k2, k3 = self.strikes
-            return max(1.0, (k2 - k1) / (k3 - k2))
-        if self.kind == "linear":
-            return abs(self.scale)
-        if self.kind == "constant":
-            return 0.0
-        return float(np.abs(np.diff(self.values) / np.diff(self.s_nodes)).max())
-
-    def kink_points(self) -> np.ndarray:
-        """Spots where the payoff is not differentiable."""
-        if self.kind in ("call", "put", "butterfly"):
-            return np.asarray(self.strikes, dtype=float)
-        if self.kind == "table":
-            return self.s_nodes[1:-1].copy()
-        return np.empty(0)
-
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
         if self.kind in ("call", "put", "butterfly"):
@@ -128,25 +109,14 @@ class Payoff:
         return d
 
 
-def _strikes_of(d: dict, n: int) -> tuple[float, ...]:
-    # "K1", "K2", ... preferred; "strike"/"strikes" accepted as aliases.
-    if "K1" in d:
-        return tuple(float(d[f"K{j}"]) for j in range(1, n + 1))
-    alias = d["strike"] if n == 1 and "strike" in d else d["strikes"]
-    return tuple(float(k) for k in np.atleast_1d(alias))
-
-
 def payoff_from_dict(d: dict) -> Payoff:
-    kind = d.get("kind")
-    try:
-        if kind in ("call", "put"):
-            return Payoff(kind=kind, strikes=_strikes_of(d, 1))
-        if kind == "butterfly":
-            return Payoff(kind=kind, strikes=_strikes_of(d, 3))
-        if kind in ("linear", "constant"):
-            return Payoff(kind=kind, scale=float(d.get("scale", 1.0)))
-        if kind == "table":
-            return Payoff(kind=kind, s_nodes=np.asarray(d["s"], float), values=np.asarray(d["value"], float))
-    except KeyError as exc:
-        raise ValueError(f"malformed payoff: missing {exc}") from exc
+    kind = text(d, "kind")
+    if kind in ("call", "put"):
+        return Payoff(kind=kind, strikes=(number(d, "K1"),))
+    if kind == "butterfly":
+        return Payoff(kind=kind, strikes=tuple(number(d, f"K{n}") for n in (1, 2, 3)))
+    if kind in ("linear", "constant"):
+        return Payoff(kind=kind, scale=number(d, "scale", 1.0))
+    if kind == "table":
+        return Payoff(kind=kind, s_nodes=array(d, "s"), values=array(d, "value"))
     raise ValueError(f"unknown payoff kind {kind!r}")

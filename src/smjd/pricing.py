@@ -98,8 +98,12 @@ def build_grid(
     from the last row."""
     if n_time < 1 or n_space < 4:
         raise ValueError("need n_time >= 1 and n_space >= 4")
+    if n_age is not None and n_age < 0:
+        raise ValueError("need n_age >= 0")
     if not s_ref > 0:
         raise ValueError("s_ref must be positive")
+    if not width > 0:
+        raise ValueError("grid width must be positive")
     horizon = model.horizon
     half = width * model.sigma_sup() * math.sqrt(horizon)
     lo, hi = model.jump.eta_bounds()
@@ -189,20 +193,23 @@ def _shift_weights(log_s: np.ndarray, s: np.ndarray, shift: float):
     return c0, c1, w0, w1
 
 
-def _jump_matrices(model: MarketModel, grid: SurfaceGrid):
-    """Dense matrices ``B0 = sum w (S - I)`` and ``B1 = sum w eta (S - I)``
-    over the jump nodes, where ``S`` shifts the spot by ``1 + eta``."""
+def _jump_matrices(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray) -> list:
+    """Dense matrices ``sum weights (S - I)`` over the jump nodes, one per
+    weight vector, where ``S`` shifts the spot by ``1 + eta``; without
+    weights, ``[B0, B1]``: ``B0`` sums the node weights ``w``, ``B1`` sums
+    ``w * eta``."""
+    jump = model.jump
+    weights = weights or (jump.w, jump.w * jump.eta_vals)
     n = grid.log_s.size
     rows = np.arange(n)
-    b0 = np.zeros((n, n))
-    b1 = np.zeros((n, n))
-    for wm, em in zip(model.jump.w, model.jump.eta_vals):
+    mats = [np.zeros((n, n)) for _ in weights]
+    for m, em in enumerate(jump.eta_vals):
         c0, c1, w0, w1 = _shift_weights(grid.log_s, grid.s, math.log1p(em))
-        for b, scale in ((b0, wm), (b1, wm * em)):
-            b[rows, c0] += scale * w0
-            b[rows, c1] += scale * w1
-            b[rows, rows] -= scale
-    return b0, b1
+        for b, wt in zip(mats, weights):
+            b[rows, c0] += wt[m] * w0
+            b[rows, c1] += wt[m] * w1
+            b[rows, rows] -= wt[m]
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +553,7 @@ def hedge_ratio(model: MarketModel, surface: PriceSurface) -> np.ndarray:
     grad[:, :, 0] = (vals[:, :, 1] - vals[:, :, 0]) / (s[1] - s[0])
     grad[:, :, -1] = (vals[:, :, -1] - vals[:, :, -2]) / (s[-1] - s[-2])
     if model.jump.z.size:
-        b1 = _jump_matrices(model, grid)[1]
+        [b1] = _jump_matrices(model, grid, model.jump.w * model.jump.eta_vals)
         flat = vals.transpose(2, 0, 1, 3).reshape(ns, -1)
         jump_term = (b1 @ flat).reshape(ns, n_layers, k, ny1).transpose(1, 2, 0, 3)
         jump_term = jump_term / s[None, None, :, None]

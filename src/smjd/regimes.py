@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
+
+from ._config import array, number, section, sections, text
 
 __all__ = [
     "ConstantRate",
@@ -45,8 +46,13 @@ __all__ = [
 INVERSION_TOL = 1e-10
 #: iteration cap of the hazard-inversion root finder
 INVERSION_MAX_ITER = 200
-#: default threshold for the divergence proxy hazard(y_max) >= threshold
+#: threshold of the divergence proxy hazard(probe age) >= threshold
 DIVERGENCE_THRESHOLD = 30.0
+#: probe age of the divergence proxy, as a multiple of y_max: far past the
+#: visited ages, so it certifies the hazard tail
+DIVERGENCE_AGE_FACTOR = 1000.0
+#: age nodes on which ``validate_rates`` evaluates each rate over [0, y_max]
+RATE_CHECK_NODES = 2001
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +75,6 @@ class ConstantRate:
 
     def integral(self, y):
         return self.rate * np.asarray(y, dtype=float)
-
-    def params(self) -> dict:
-        return {"rate": self.rate}
 
 
 class WeibullRate:
@@ -99,9 +102,6 @@ class WeibullRate:
 
     def integral(self, y):
         return self.scale * np.asarray(y, dtype=float) ** self.shape
-
-    def params(self) -> dict:
-        return {"scale": self.scale, "shape": self.shape}
 
 
 class TableRate:
@@ -145,16 +145,6 @@ class TableRate:
         out = np.where(below, self.rate[0] * y, out)
         out = np.where(above, self._cum[-1] + self.rate[-1] * (y - self.y[-1]), out)
         return out
-
-    def params(self) -> dict:
-        return {"y": self.y.tolist(), "rate": self.rate.tolist()}
-
-
-_FAMILIES: dict[str, Callable] = {
-    "constant": ConstantRate,
-    "weibull": WeibullRate,
-    "table": TableRate,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +196,6 @@ class RateSpec:
             out = out + fn.value(y)
         return out
 
-    def to_dict(self) -> dict:
-        d = {
-            "states": self.n_states,
-            "rates": [
-                {"from": i, "to": j, "family": fn.family, "params": fn.params()}
-                for (i, j), fn in sorted(self.rates.items())
-            ],
-        }
-        if self.rate_bound is not None:
-            d["rate_bound"] = self.rate_bound
-        return d
-
 
 def rate_spec_from_dict(d: dict) -> RateSpec:
     """Build a :class:`RateSpec` from its dict form.
@@ -228,22 +206,27 @@ def rate_spec_from_dict(d: dict) -> RateSpec:
          "rates": [{"from": i, "to": j, "family": "constant" | "weibull" | "table",
                     "params": {...}}, ...],
          "rate_bound": optional float}
+
+    The params are ``rate`` (constant), ``scale`` and ``shape`` (weibull),
+    and the arrays ``y`` and ``rate`` (table).
     """
-    try:
-        k = int(d["states"])
-        entries = d["rates"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed rate spec: {exc}") from exc
+    k = number(d, "states", kind=int)
     rates = {}
-    for entry in entries:
-        key = (int(entry["from"]), int(entry["to"]))
+    for entry in sections(d, "rates"):
+        key = (number(entry, "from", kind=int), number(entry, "to", kind=int))
         if key in rates:
             raise ValueError(f"duplicate rate entry for pair {key}")
-        family = entry["family"]
-        if family not in _FAMILIES:
+        family = text(entry, "family")
+        params = section(entry, "params")
+        if family == "constant":
+            rates[key] = ConstantRate(number(params, "rate"))
+        elif family == "weibull":
+            rates[key] = WeibullRate(number(params, "scale"), number(params, "shape"))
+        elif family == "table":
+            rates[key] = TableRate(array(params, "y"), array(params, "rate"))
+        else:
             raise ValueError(f"unknown rate family {family!r}")
-        rates[key] = _FAMILIES[family](**entry["params"])
-    return RateSpec(n_states=k, rates=rates, rate_bound=d.get("rate_bound"))
+    return RateSpec(n_states=k, rates=rates, rate_bound=number(d, "rate_bound", None))
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +292,22 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def validate_rates(
-    spec: RateSpec,
-    y_max: float,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-    n_grid: int = 2001,
-    divergence_age: float | None = None,
-) -> ValidationReport:
+def validate_rates(spec: RateSpec, y_max: float) -> ValidationReport:
     """Check the admissibility of a rate spec on the working age range.
 
     Performs, per directed pair, a positivity check (no negative values,
     not identically zero) and a boundedness check on ``[0, y_max]``, and,
     per non-absorbing state, the divergence proxy
-    ``hazard(probe) >= divergence_threshold`` that guarantees holding
-    times are sampled in bounded time.  The probe age defaults to
-    ``y_max``; pass a larger ``divergence_age`` to certify the hazard
-    tail beyond the ages actually visited.
+    ``hazard(probe) >= DIVERGENCE_THRESHOLD`` that guarantees holding
+    times are sampled in bounded time, at the probe age
+    ``DIVERGENCE_AGE_FACTOR * y_max``.
 
     Raises
     ------
     ValueError
         If a rate evaluates to NaN on the grid.
     """
-    grid = np.linspace(0.0, y_max, n_grid)
+    grid = np.linspace(0.0, y_max, RATE_CHECK_NODES)
     checks = []
     for (i, j), fn in sorted(spec.rates.items()):
         vals = fn.value(grid)
@@ -369,7 +345,7 @@ def validate_rates(
                 + ("" if spec.rate_bound is None else f", declared bound {bound:.6g}"),
             )
         )
-    probe = y_max if divergence_age is None else float(divergence_age)
+    probe = DIVERGENCE_AGE_FACTOR * y_max
     for i in range(spec.n_states):
         if not spec.exits(i):
             continue
@@ -377,9 +353,9 @@ def validate_rates(
         checks.append(
             CheckResult(
                 f"hazard divergence (state {i})",
-                total >= divergence_threshold,
+                total >= DIVERGENCE_THRESHOLD,
                 f"state {i} integrated hazard at age {probe:.6g} is {total:.6g},"
-                f" threshold {divergence_threshold:.6g}",
+                f" threshold {DIVERGENCE_THRESHOLD:.6g}",
             )
         )
     return ValidationReport(passed=all(c.passed for c in checks), checks=tuple(checks))

@@ -1,18 +1,27 @@
 """End-to-end tests for the command line interface.
 
 Each test drives ``main`` in process against a small two-regime
-configuration, then asserts on exit codes and on the artifacts written
-to the output directory.  Reruns with a fixed seed must reproduce the
-data artifacts byte for byte.
+configuration (the mutation test against a three-regime one), then
+asserts on exit codes and on the artifacts written to the output
+directory.  Reruns with a fixed seed must reproduce the data artifacts
+byte for byte.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import shutil
 import subprocess
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smjd.cli import main
 
@@ -35,8 +44,11 @@ def model_dict(mu=(0.08, 0.05), sigma=(0.2, 0.3), rate=1.0):
             "interval": [-0.5, 1.0],
             "n": 51,
         },
-        "horizon": 0.5,
+        "T": 0.5,
     }
+
+
+JUMP_FREE = {"eta": {"kind": "clamp", "slope": 1.0, "lo": -0.5, "hi": 1.0}, "nodes": []}
 
 
 def base_config(**overrides):
@@ -56,6 +68,10 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _must_not_solve(*args, **kwargs):
+    raise AssertionError("a grid was solved before the config was checked")
 
 
 @pytest.fixture
@@ -218,28 +234,22 @@ class TestPrice:
 
     def test_mc_measure_variants_agree(self, write_config, tmp_path):
         # Both estimators target the same price; with few paths they only
-        # need to land within joint noise, and aliases must match exactly.
+        # need to land within joint noise.
         vals = {}
-        for method in ("mc-q", "mc-p", "mc", "mc-weighted"):
+        for method in ("mc-q", "mc-p"):
             cfg = write_config(base_config(method=method), f"{method}.json")
             out = tmp_path / method
             assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
             rep = json.loads((out / "price.json").read_text())
             vals[method] = rep["estimate"]
-        assert vals["mc"]["value"] == vals["mc-q"]["value"]
-        assert vals["mc-weighted"]["value"] == vals["mc-p"]["value"]
         joint = vals["mc-q"]["std_error"] + vals["mc-p"]["std_error"]
         assert abs(vals["mc-q"]["value"] - vals["mc-p"]["value"]) <= 4.0 * joint
 
-    def test_mc_rerun_byte_identical_across_threads(self, write_config, tmp_path):
+    def test_mc_rerun_byte_identical(self, write_config, tmp_path):
         cfg = write_config(base_config(method="mc-q"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(
-            ["price", "--config", str(cfg), "--out", str(out_a), "--threads", "1"]
-        ) == 0
-        assert main(
-            ["price", "--config", str(cfg), "--out", str(out_b), "--threads", "4"]
-        ) == 0
+        assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
+        assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "price.json").read_bytes() == (out_b / "price.json").read_bytes()
 
     def test_unknown_method_exits_one(self, write_config, tmp_path):
@@ -255,8 +265,23 @@ class TestPrice:
             {"grid": {"n_time": None, "n_space": 101, "n_age": 0}},
             {"grid": {"n_time": 8, "n_space": 101, "width": float("inf")}},
             {"method": "mc-q", "mc": {"n_paths": "400"}},
+            {"model": model_dict() | {"jump": JUMP_FREE}, "grid": {"width": 0}},
+            {"grid": {"n_time": 8, "n_space": 101, "width": -3}},
+            {"grid": {"n_time": 8, "n_space": 101, "n_age": -3}},
+            {"s0": -5.0, "grid": {"n_time": 8, "n_space": 101, "s_ref": 100.0}},
         ],
-        ids=["x0-too-large", "x0-negative", "y0-negative", "n_time-null", "width-inf", "mc-string"],
+        ids=[
+            "x0-too-large",
+            "x0-negative",
+            "y0-negative",
+            "n_time-null",
+            "width-inf",
+            "mc-string",
+            "width-zero",
+            "width-negative",
+            "n_age-negative",
+            "s0-negative",
+        ],
     )
     def test_bad_input_rejected_before_solve(self, write_config, tmp_path, capsys, overrides):
         cfg = write_config(base_config(**overrides))
@@ -284,6 +309,13 @@ class TestHedgeBacktest:
         assert rep["unhedged_std"] > 0.0
         assert np.isfinite(rep["variance_ratio"])
 
+    def test_bad_sizes_rejected_before_solve(self, write_config, tmp_path, monkeypatch):
+        monkeypatch.setattr("smjd.cli.solve_price", _must_not_solve)
+        cfg = write_config(base_config(hedge={"n_paths": 40, "n_rebalance": 0}))
+        out = tmp_path / "out"
+        assert main(["hedge-backtest", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "backtest.json").exists()
+
 
 class TestXval:
     def test_consistent_solvers_exit_zero(self, write_config, tmp_path):
@@ -302,6 +334,15 @@ class TestXval:
         rep = json.loads((out / "xval.json").read_text())
         assert rep["passed"] is False
 
+    def test_bad_level_rejected_before_solve(self, write_config, tmp_path, monkeypatch):
+        monkeypatch.setattr("smjd.cli.solve_price", _must_not_solve)
+        cfg = write_config(
+            base_config(xval={"tolerance": 0.1, "mc_paths": 1500, "level": 1.5})
+        )
+        out = tmp_path / "out"
+        assert main(["xval", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "xval.json").exists()
+
 
 class TestManifest:
     def test_manifest_records_config_hash_and_seed(self, write_config, tmp_path):
@@ -314,6 +355,101 @@ class TestManifest:
         assert manifest["command"] == "price"
         assert "surface.csv" in manifest["artifacts"]
         assert manifest["wall_time_s"] >= 0.0
+
+    def test_u64_seed_kept_exact(self, write_config, tmp_path):
+        cfg = write_config(base_config(method="mc-q"))
+        out = tmp_path / "out"
+        seed = 2**64 - 1
+        assert main(["price", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+    def test_seeds_beyond_double_precision_differ(self, write_config, tmp_path):
+        prices = []
+        for seed in (2**53, 2**53 + 1):
+            cfg = write_config(base_config(method="mc-q", seed=seed), name=f"{seed}.json")
+            out = tmp_path / str(seed)
+            assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
+            prices.append(json.loads((out / "price.json").read_text())["price"])
+        assert prices[0] != prices[1]
+
+
+def weibull_config():
+    """Three Weibull regimes switching 0 -> 1 -> 2 -> 0, five jump nodes,
+    priced by ``ie`` on 4 x 41 nodes from regime 1 at age 0.3."""
+
+    def weibull(i, j, scale):
+        return {"from": i, "to": j, "family": "weibull", "params": {"scale": scale, "shape": 1.5}}
+
+    return {
+        "model": {
+            "regimes": {
+                "states": 3,
+                "rates": [weibull(0, 1, 1.2), weibull(1, 2, 0.9), weibull(2, 0, 1.5)],
+            },
+            "r": [0.05, 0.05, 0.05],
+            "mu": [0.08, 0.04, 0.06],
+            "sigma": {"kind": "constant", "values": [0.2, 0.3, 0.25]},
+            "jump": {
+                "eta": {"kind": "clamp", "slope": 1.0, "lo": -0.5, "hi": 1.0},
+                "nodes": [[-0.5, 0.1], [-0.2, 0.2], [0.1, 0.3], [0.4, 0.2], [0.7, 0.1]],
+            },
+            "T": 0.5,
+        },
+        "payoff": {"kind": "call", "K1": 100.0},
+        "s0": 100.0,
+        "x0": 1,
+        "y0": 0.3,
+        "seed": 7,
+        "method": "ie",
+        "grid": {"n_time": 4, "n_space": 41, "n_age": 4},
+    }
+
+
+def _leaves(node, path=()):
+    """Key paths of every scalar (or empty container) in a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaves(node[key], path + (key,))
+    else:
+        yield path
+
+
+DELETE = "<delete>"
+MUTANTS = [None, True, "x", -1, 0, 0.5, [], {}, [1, 2], {"a": 1}, DELETE]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    leaf=st.sampled_from(list(_leaves(weibull_config()))),
+    mutant=st.sampled_from(MUTANTS),
+    command=st.sampled_from(["check", "integrals", "price"]),
+)
+def test_config_mutation_exits_cleanly(leaf, mutant, command):
+    # any one-leaf change of a valid config ends in a documented exit code,
+    # and a failure says so in one line, without a traceback or a surface
+    cfg = weibull_config()
+    parent = cfg
+    for key in leaf[:-1]:
+        parent = parent[key]
+    if mutant == DELETE:
+        del parent[leaf[-1]]
+    else:
+        parent[leaf[-1]] = copy.deepcopy(mutant)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(path), "--out", str(out)])
+        surface_written = (out / "surface.csv").exists()
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("smjd:"), lines
+        assert not surface_written
 
 
 @pytest.mark.skipif(shutil.which("smjd") is None, reason="console script not on PATH")

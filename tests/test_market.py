@@ -395,11 +395,35 @@ class TestSigmaTable:
 
 
 def test_model_dict_round_trip():
+    # the dict form of two_regime_model parses to the same model
     model = two_regime_model()
-    d = model.to_dict()
-    clone = market_model_from_dict(d)
+    clone = market_model_from_dict(
+        {
+            "regimes": {
+                "states": 2,
+                "rates": [
+                    {"from": 0, "to": 1, "family": "constant", "params": {"rate": 1.0}},
+                    {"from": 1, "to": 0, "family": "constant", "params": {"rate": 1.0}},
+                ],
+            },
+            "r": [0.05, 0.05],
+            "mu": [0.08, 0.05],
+            "sigma": {"kind": "constant", "values": [0.2, 0.3]},
+            "jump": {
+                "eta": {"kind": "clamp", "slope": 1.0, "lo": -0.5, "hi": 1.0},
+                "density": {"kind": "uniform"},
+                "interval": [-0.5, 1.0],
+                "n": 201,
+            },
+            "T": 1.0,
+        }
+    )
     assert clone.n_states == 2
-    np.testing.assert_allclose(clone.r, model.r)
-    np.testing.assert_allclose(clone.jump.z, model.jump.z)
-    np.testing.assert_allclose(clone.jump.w, model.jump.w)
+    assert clone.horizon == model.horizon
+    np.testing.assert_array_equal(clone.r, model.r)
+    np.testing.assert_array_equal(clone.mu, model.mu)
+    np.testing.assert_array_equal(clone.sigma_values, model.sigma_values)
+    np.testing.assert_array_equal(clone.jump.z, model.jump.z)
+    np.testing.assert_array_equal(clone.jump.w, model.jump.w)
+    np.testing.assert_array_equal(clone.jump.eta_vals, model.jump.eta_vals)
     assert jump_integrals(clone.jump).int_eta == pytest.approx(INT_ETA, abs=1e-10)

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from smjd.regimes import (
+    ConstantRate,
     RateSpec,
+    TableRate,
+    WeibullRate,
     cumulative_hazard,
     embedded_probs,
     holding_cdf,
@@ -510,11 +513,38 @@ class TestGenerator:
 # ---------------------------------------------------------------------------
 
 
-def test_rate_spec_round_trip(mixed_spec):
-    d = mixed_spec.to_dict()
-    clone = rate_spec_from_dict(d)
-    y = np.linspace(0.0, 4.0, 17)
-    np.testing.assert_allclose(
-        cumulative_hazard(clone, 0, y), cumulative_hazard(mixed_spec, 0, y), rtol=1e-15
+def test_rate_spec_round_trip():
+    # each family's params are read by name into the same rate functions
+    parsed = rate_spec_from_dict(
+        {
+            "states": 3,
+            "rates": [
+                {"from": 0, "to": 1, "family": "constant", "params": {"rate": 0.7}},
+                {"from": 0, "to": 2, "family": "weibull", "params": {"scale": 0.5, "shape": 2.0}},
+                {
+                    "from": 1,
+                    "to": 0,
+                    "family": "table",
+                    "params": {"y": [0.0, 2.0], "rate": [1.0, 3.0]},
+                },
+            ],
+            "rate_bound": 5.0,
+        }
     )
-    assert clone.n_states == mixed_spec.n_states
+    direct = RateSpec(
+        n_states=3,
+        rates={
+            (0, 1): ConstantRate(0.7),
+            (0, 2): WeibullRate(scale=0.5, shape=2.0),
+            (1, 0): TableRate([0.0, 2.0], [1.0, 3.0]),
+        },
+        rate_bound=5.0,
+    )
+    y = np.linspace(0.0, 4.0, 17)
+    for i in range(3):
+        np.testing.assert_array_equal(
+            cumulative_hazard(parsed, i, y), cumulative_hazard(direct, i, y)
+        )
+        np.testing.assert_array_equal(parsed.total_rate(i, y), direct.total_rate(i, y))
+    assert parsed.n_states == direct.n_states
+    assert parsed.rate_bound == direct.rate_bound

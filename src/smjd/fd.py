@@ -31,6 +31,8 @@ from .pricing import (
     PriceSurface,
     SurfaceGrid,
     _jump_matrices,
+    _jump_term,
+    _require_finite_rates,
     _warn_if_inadmissible,
     hedge_ratio,
 )
@@ -105,6 +107,7 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
     _warn_if_inadmissible(model)
     if grid.t.size < 2:
         raise ValueError("time grid needs at least two nodes")
+    _require_finite_rates(model, grid)
     dt = grid.dt
     gain = explicit_gain(model, grid)
     if dt * gain > MAX_EXPLICIT_STEP:
@@ -121,9 +124,7 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
         for i in range(k)
     ]
     next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
-    has_jumps = model.jump.z.size > 0
-    if has_jumps:
-        b0, b1 = _jump_matrices(model, grid)
+    jumps = _jump_matrices(model, grid) if model.jump.z.size else None
     banded = None
     if model.sigma_values is not None:
         banded = [_banded_operator(model, grid, i, 0.0, dt) for i in range(k)]
@@ -138,10 +139,8 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
             rhs = (1.0 - 0.5 * dt * model.r[i]) * shifted
             for j, lam in exits_next[i]:
                 rhs = rhs + dt * lam * (age0[j][:, None] - shifted)
-            if has_jumps:
-                ratio = float(model.j_ratio(t1, i))
-                jump_term = b0 @ old[i] + ratio * (b1 @ old[i])
-                rhs = rhs + dt * jump_term[:, next_row]
+            if jumps is not None:
+                rhs = rhs + dt * _jump_term(model, jumps, t1, i, old[i])[:, next_row]
             ab = banded[i] if banded is not None else _banded_operator(model, grid, i, t0, dt)
             vals[n, i] = solve_banded((1, 1), ab, rhs)
     surface = PriceSurface(grid=grid, values=vals)

@@ -167,54 +167,74 @@ def _projection_matrix(log_s: np.ndarray, drift: float, var: float) -> np.ndarra
     return mat
 
 
-def _shift_weights(log_s: np.ndarray, s: np.ndarray, shift: float):
-    """Two-point stencil of ``psi(s * exp(shift))`` on the grid: linear
-    interpolation in log-spot inside, linear extrapolation in spot outside.
-    Returns column indices and weights, one pair per row."""
-    n = log_s.size
-    h = log_s[1] - log_s[0]
-    q = log_s + shift
-    pos = (q - log_s[0]) / h
-    idx = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    frac = pos - idx
-    c0, c1 = idx, idx + 1
-    w0, w1 = 1.0 - frac, frac.copy()
-    sq = np.exp(q)
-    below = pos < 0.0
-    if np.any(below):
-        g = (sq[below] - s[0]) / (s[1] - s[0])
-        c0[below], c1[below] = 0, 1
-        w0[below], w1[below] = 1.0 - g, g
-    above = pos > n - 1.0
-    if np.any(above):
-        g = (sq[above] - s[-1]) / (s[-1] - s[-2])
-        c0[above], c1[above] = n - 2, n - 1
-        w0[above], w1[above] = -g, 1.0 + g
-    return c0, c1, w0, w1
+def _spot_stencil(grid: SurfaceGrid, log_q):
+    """Two-point stencil of ``psi(exp(log_q))`` on the spot nodes, for
+    queries of any shape: linear interpolation in log-spot between nodes,
+    linear extrapolation in spot beyond the ends.  Returns the columns
+    ``c0, c1`` and the weights ``w0, w1``, each shaped like ``log_q``."""
+    u, s = grid.log_s, grid.s
+    n = u.size
+    pos = (log_q - u[0]) / (u[1] - u[0])
+    c0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    frac = pos - c0
+    sq = np.exp(log_q)
+    g_lo = (sq - s[0]) / (s[1] - s[0])
+    g_hi = (sq - s[-1]) / (s[-1] - s[-2])
+    below, above = pos < 0.0, pos > n - 1.0
+    w0 = np.where(below, 1.0 - g_lo, np.where(above, -g_hi, 1.0 - frac))
+    w1 = np.where(below, g_lo, np.where(above, 1.0 + g_hi, frac))
+    return c0, c0 + 1, w0, w1
 
 
 def _jump_matrices(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray) -> list:
     """Dense matrices ``sum weights (S - I)`` over the jump nodes, one per
     weight vector, where ``S`` shifts the spot by ``1 + eta``; without
     weights, ``[B0, B1]``: ``B0`` sums the node weights ``w``, ``B1`` sums
-    ``w * eta``."""
+    ``w * eta``.  Each entry sums its terms node by node, the ``c0`` term,
+    then the ``c1`` term, then the diagonal."""
     jump = model.jump
     weights = weights or (jump.w, jump.w * jump.eta_vals)
     n = grid.log_s.size
-    rows = np.arange(n)
-    mats = [np.zeros((n, n)) for _ in weights]
-    for m, em in enumerate(jump.eta_vals):
-        c0, c1, w0, w1 = _shift_weights(grid.log_s, grid.s, math.log1p(em))
-        for b, wt in zip(mats, weights):
-            b[rows, c0] += wt[m] * w0
-            b[rows, c1] += wt[m] * w1
-            b[rows, rows] -= wt[m]
+    shifts = np.array([math.log1p(em) for em in jump.eta_vals])
+    c0, c1, w0, w1 = _spot_stencil(grid, grid.log_s + shifts[:, None])
+    rows = np.arange(n) * n
+    diag = np.broadcast_to(rows + np.arange(n), c0.shape)
+    flat = np.stack([rows + c0, rows + c1, diag], axis=1)
+    mats = []
+    for wt in weights:
+        wt = wt[:, None]
+        terms = np.stack([wt * w0, wt * w1, np.broadcast_to(-wt, w0.shape)], axis=1)
+        mats.append(np.bincount(flat.ravel(), terms.ravel(), minlength=n * n).reshape(n, n))
     return mats
+
+
+def _jump_term(model: MarketModel, jumps, t: float, i: int, v: np.ndarray, acc=-0.0) -> np.ndarray:
+    """``acc + B0 v + J(t, i) B1 v``, added in that order, for
+    ``jumps = (B0, B1)``; the default ``-0.0`` adds nothing, not even the
+    sign of a zero."""
+    b0, b1 = jumps
+    return acc + b0 @ v + float(model.j_ratio(t, i)) * (b1 @ v)
 
 
 # ---------------------------------------------------------------------------
 # One-step evolution
 # ---------------------------------------------------------------------------
+
+
+def _require_finite_rates(model: MarketModel, grid: SurfaceGrid) -> None:
+    """Grid methods read every switch rate on the age rows and one step
+    past them; an infinite rate there (a Weibull ``shape < 1`` at age 0)
+    would turn the solve into NaN, so it is rejected up front."""
+    ages = np.concatenate([grid.y, grid.y + grid.dt])
+    for i in range(model.n_states):
+        for j, fn in model.rates.exits(i):
+            vals = np.asarray(fn.value(ages), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise ValueError(
+                    f"switch rate ({i}, {j}) is {vals[bad[0]]} at age {ages[bad[0]]:.6g}; "
+                    "grid methods need rates finite on the age rows"
+                )
 
 
 class _EvolutionEngine:
@@ -236,6 +256,7 @@ class _EvolutionEngine:
         y = grid.y
         if y.size > 1 and abs((y[1] - y[0]) - self.dt) > 1e-12 * max(1.0, self.dt):
             raise ValueError("age grid step must equal the time step")
+        _require_finite_rates(model, grid)
         k = model.n_states
         ny1 = y.size
         spec = model.rates
@@ -263,10 +284,7 @@ class _EvolutionEngine:
             self.c_end[i] = switch_mass * (1.0 - a) * p1
         self._solve_age0 = np.linalg.inv(np.eye(k) - self.c_start[:, :, 0])
         self.next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
-        if model.jump.z.size:
-            self.b0, self.b1 = _jump_matrices(model, grid)
-        else:
-            self.b0 = self.b1 = None
+        self.jumps = _jump_matrices(model, grid) if model.jump.z.size else None
         # constant volatility: one kernel per regime serves every step;
         # tabulated: only the kernels of the latest ``t0`` are kept, since a
         # step asks for them twice and each is a dense n x n matrix
@@ -313,11 +331,9 @@ class _EvolutionEngine:
         ``B0 + J(t, i) B1``."""
         out = np.empty_like(vals)
         for i in range(self.model.n_states):
-            v = vals[i]
-            acc = -self.model.r[i] * v
-            if self.b0 is not None:
-                ratio = float(self.model.j_ratio(t, i))
-                acc = acc + self.b0 @ v + ratio * (self.b1 @ v)
+            acc = -self.model.r[i] * vals[i]
+            if self.jumps is not None:
+                acc = _jump_term(self.model, self.jumps, t, i, vals[i], acc)
             out[i] = acc
         return out
 
@@ -370,11 +386,11 @@ def jump_operator(model: MarketModel, t: float, grid: SurfaceGrid, values) -> np
         raise ValueError("values must be (n_states, n_space, ...)")
     if not model.jump.z.size:
         return np.zeros_like(vals)
-    b0, b1 = _jump_matrices(model, grid)
+    jumps = _jump_matrices(model, grid)
     flat = vals.reshape(model.n_states, grid.log_s.size, -1)
     out = np.empty_like(flat)
     for i in range(model.n_states):
-        out[i] = b0 @ flat[i] + float(model.j_ratio(t, i)) * (b1 @ flat[i])
+        out[i] = _jump_term(model, jumps, t, i, flat[i])
     return out.reshape(vals.shape)
 
 
@@ -395,14 +411,11 @@ class PriceSurface:
 
     def _lookup(self, arr: np.ndarray, t: float, s, x, y):
         grid = self.grid
-        tg = grid.t
-        if tg.size == 1:
-            layer = arr[0]
-        else:
-            pos = (float(t) - tg[0]) / grid.dt
-            n0 = int(np.clip(np.floor(pos), 0, tg.size - 2))
-            wt = float(np.clip(pos - n0, 0.0, 1.0))
-            layer = arr[n0] if wt == 0.0 else (1.0 - wt) * arr[n0] + wt * arr[n0 + 1]
+        # solver grids have two or more times, and age rows one time step apart
+        pos = (float(t) - grid.t[0]) / grid.dt
+        n0 = int(np.clip(np.floor(pos), 0, grid.t.size - 2))
+        wt = float(np.clip(pos - n0, 0.0, 1.0))
+        layer = arr[n0] if wt == 0.0 else (1.0 - wt) * arr[n0] + wt * arr[n0 + 1]
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=int)
         y = np.asarray(y, dtype=float)
@@ -412,42 +425,16 @@ class PriceSurface:
             raise ValueError(f"regime index outside [0, {arr.shape[1]})")
         if np.any(y < 0.0):
             raise ValueError("regime age must be nonnegative")
-        ug = grid.log_s
-        n = ug.size
-        h = ug[1] - ug[0]
-        u = np.log(s)
-        pos_u = (u - ug[0]) / h
-        iu = np.clip(np.floor(pos_u).astype(int), 0, n - 2)
-        fu = np.clip(pos_u - iu, 0.0, 1.0)
-        yg = grid.y
-        if yg.size == 1:
-            iy = np.zeros_like(x)
-            fy = np.zeros_like(s)
-        else:
-            dy = yg[1] - yg[0]
-            pos_y = np.clip((y - yg[0]) / dy, 0.0, yg.size - 1.0)
-            iy = np.clip(np.floor(pos_y).astype(int), 0, yg.size - 2)
-            fy = pos_y - iy
-        v00 = layer[x, iu, iy]
-        v10 = layer[x, iu + 1, iy]
-        v01 = layer[x, iu, iy + 1] if yg.size > 1 else v00
-        v11 = layer[x, iu + 1, iy + 1] if yg.size > 1 else v10
-        lo = (1.0 - fu) * v00 + fu * v10
-        hi = (1.0 - fu) * v01 + fu * v11
+        # the solver's own off-node rule in spot, linear in age between rows
+        c0, c1, w0, w1 = _spot_stencil(grid, np.log(s))
+        n_age = grid.y.size - 1
+        pos_y = np.clip((y - grid.y[0]) / grid.dt, 0.0, n_age)
+        iy = np.floor(pos_y).astype(int)
+        fy = pos_y - iy
+        iy1 = np.minimum(iy + 1, n_age)
+        lo = w0 * layer[x, c0, iy] + w1 * layer[x, c1, iy]
+        hi = w0 * layer[x, c0, iy1] + w1 * layer[x, c1, iy1]
         out = (1.0 - fy) * lo + fy * hi
-        # linear-in-spot tails, consistent with the solver's extrapolation
-        below = u < ug[0]
-        if np.any(below):
-            e0 = (1.0 - fy) * layer[x, 0, iy] + fy * layer[x, 0, np.minimum(iy + 1, yg.size - 1)]
-            e1 = (1.0 - fy) * layer[x, 1, iy] + fy * layer[x, 1, np.minimum(iy + 1, yg.size - 1)]
-            ext = e0 + (e1 - e0) * (s - grid.s[0]) / (grid.s[1] - grid.s[0])
-            out = np.where(below, ext, out)
-        above = u > ug[-1]
-        if np.any(above):
-            e0 = (1.0 - fy) * layer[x, -2, iy] + fy * layer[x, -2, np.minimum(iy + 1, yg.size - 1)]
-            e1 = (1.0 - fy) * layer[x, -1, iy] + fy * layer[x, -1, np.minimum(iy + 1, yg.size - 1)]
-            ext = e1 + (e1 - e0) * (s - grid.s[-1]) / (grid.s[-1] - grid.s[-2])
-            out = np.where(above, ext, out)
         return out if out.ndim else float(out)
 
     def value_at(self, t: float, s, x, y):
@@ -519,7 +506,7 @@ def solve_price(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
     n_time = grid.t.size - 1
     ones = np.ones((k, ns, ny1))
     defect = float(np.abs(engine.u_step(ones, grid.t[n_time - 1]) - 1.0).max())
-    if defect > CONSERVATIVITY_TOL:
+    if not defect <= CONSERVATIVITY_TOL:
         raise GridResolutionError(
             f"one-step conservativity defect {defect:.3e} exceeds {CONSERVATIVITY_TOL:.1e}"
         )
@@ -559,11 +546,5 @@ def hedge_ratio(model: MarketModel, surface: PriceSurface) -> np.ndarray:
         jump_term = jump_term / s[None, None, :, None]
     else:
         jump_term = 0.0
-    int_eta_sq = model.ints.int_eta_sq
-    out = np.empty_like(vals)
-    for n in range(n_layers):
-        for i in range(k):
-            sig2 = float(model.sigma(grid.t[n], i)) ** 2
-            jt = jump_term[n, i] if model.jump.z.size else 0.0
-            out[n, i] = (sig2 * grad[n, i] + jt) / (sig2 + int_eta_sq)
-    return out
+    sig2 = np.stack([model.sigma(grid.t, i) for i in range(k)], axis=1)[:, :, None, None] ** 2
+    return (sig2 * grad + jump_term) / (sig2 + model.ints.int_eta_sq)

@@ -367,12 +367,16 @@ def validate_rates(spec: RateSpec, y_max: float) -> ValidationReport:
 
 
 def _invert_hazard(spec: RateSpec, i: int, y0: float, target: float) -> float:
-    """Solve hazard(y0 + h) - hazard(y0) = target for the holding time h."""
+    """Solve hazard(y0 + h) - hazard(y0) = target for the holding time h.
+
+    A hazard that stays below ``target`` (a zero rate, or a table whose
+    rate ends at zero) gives ``inf``: the state is never left, which is
+    exact in law for every horizon below the bracketing cap of 1e12."""
     exits = spec.exits(i)
     families = {fn.family for _, fn in exits}
     if families == {"constant"}:
         total = sum(fn.rate for _, fn in exits)
-        return target / total
+        return target / total if total > 0.0 else math.inf
     if families == {"weibull"}:
         shapes = {fn.shape for _, fn in exits}
         if len(shapes) == 1:
@@ -387,12 +391,9 @@ def _invert_hazard(spec: RateSpec, i: int, y0: float, target: float) -> float:
 
     hi = 1.0
     while gap(hi) < 0.0:
-        hi *= 2.0
         if hi > 1e12:
-            raise RuntimeError(
-                f"hazard inversion failed to bracket for state {i}: the "
-                f"integrated rate does not reach the drawn level (bad rate spec?)"
-            )
+            return math.inf
+        hi *= 2.0
     return float(brentq(gap, 0.0, hi, xtol=INVERSION_TOL, maxiter=INVERSION_MAX_ITER))
 
 
@@ -402,6 +403,8 @@ def sample_transition(spec: RateSpec, i: int, y0: float, rng: np.random.Generato
     The holding time is exact in law: a unit exponential is drawn and the
     cumulative hazard increment is inverted, in closed form for all-constant
     or equal-shape power-law exits and by bracketed root finding otherwise.
+    A hazard that never reaches the drawn level gives ``(inf, i)`` without
+    drawing a next state.
 
     Returns
     -------
@@ -412,6 +415,8 @@ def sample_transition(spec: RateSpec, i: int, y0: float, rng: np.random.Generato
         raise ValueError(f"state {i} is absorbing: no exit rates declared")
     target = float(rng.exponential())
     hold = _invert_hazard(spec, i, y0, target)
+    if math.isinf(hold):
+        return hold, i
     p = embedded_probs(spec, i, y0 + hold)
     nxt = int(rng.choice(spec.n_states, p=p))
     return hold, nxt

@@ -12,6 +12,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import tempfile
@@ -187,6 +188,28 @@ class TestSimulate:
         ).read_bytes()
 
 
+def table_exit_model():
+    """Regime 0 leaves at rate 1 - y up to age 1 and never after, so its
+    hazard tops out at 1/2; regime 1 leaves at rate 1."""
+    model = model_dict()
+    model["regimes"]["rates"][0] = {
+        "from": 0, "to": 1, "family": "table", "params": {"y": [0.0, 1.0], "rate": [1.0, 0.0]},
+    }
+    return model
+
+
+@pytest.mark.parametrize("model", [model_dict(rate=0.0), table_exit_model()], ids=["zero", "table"])
+@pytest.mark.parametrize("command, method", [("simulate", "ie"), ("price", "mc-q")])
+def test_hazard_short_of_the_drawn_level_keeps_the_regime(
+    write_config, tmp_path, model, command, method
+):
+    cfg = write_config(base_config(model=model, method=method))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "price":
+        assert np.isfinite(json.loads((out / "price.json").read_text())["price"])
+
+
 class TestPrice:
     def test_grid_method_writes_surface_and_report(self, write_config, tmp_path):
         cfg = write_config(base_config())
@@ -296,6 +319,21 @@ class TestPrice:
             base_config(model=model_dict(rate=40.0), method="fd")
         )
         assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("method", ["ie", "fd"])
+    def test_infinite_switch_rate_rejected_before_solve(
+        self, write_config, tmp_path, capsys, method
+    ):
+        # a Weibull shape below 1 is infinite at age 0: the grid methods
+        # refuse the pair, as `check` fails its `bounded` verdict
+        cfg = weibull_config()
+        cfg["method"] = method
+        cfg["model"]["regimes"]["rates"][1]["params"]["shape"] = 0.5
+        out = tmp_path / "out"
+        assert main(["price", "--config", str(write_config(cfg)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "(1, 2)" in err[0] and "at age 0;" in err[0], err
+        assert not (out / "price.json").exists() and not (out / "surface.csv").exists()
 
 
 class TestHedgeBacktest:
@@ -423,7 +461,7 @@ MUTANTS = [None, True, "x", -1, 0, 0.5, [], {}, [1, 2], {"a": 1}, DELETE]
 @given(
     leaf=st.sampled_from(list(_leaves(weibull_config()))),
     mutant=st.sampled_from(MUTANTS),
-    command=st.sampled_from(["check", "integrals", "price"]),
+    command=st.sampled_from(["check", "integrals", "simulate", "price"]),
 )
 def test_config_mutation_exits_cleanly(leaf, mutant, command):
     # any one-leaf change of a valid config ends in a documented exit code,
@@ -445,7 +483,12 @@ def test_config_mutation_exits_cleanly(leaf, mutant, command):
             warnings.simplefilter("ignore")
             code = main([command, "--config", str(path), "--out", str(out)])
         surface_written = (out / "surface.csv").exists()
+        report = None
+        if command == "price" and code == 0:
+            report = json.loads((out / "price.json").read_text())
     assert code in (0, 1, 2, 3)
+    if report is not None:
+        assert math.isfinite(report["price"]) and math.isfinite(report["hedge"]), report
     if code != 0:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("smjd:"), lines

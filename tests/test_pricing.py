@@ -16,6 +16,8 @@ Black-Scholes call (S = K = 100, r = 0.05, sigma = 0.2, T = 1):
     10.450583572185565
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ from smjd.payoffs import Payoff, payoff_from_dict
 from smjd.pricing import (
     AdmissibilityWarning,
     _EvolutionEngine,
+    _jump_matrices,
+    _spot_stencil,
     build_grid,
     evolution_apply,
     evolution_step,
@@ -276,6 +280,22 @@ class TestGrid:
 
 
 class TestJumpOperator:
+    def test_matrices_equal_the_node_loop(self, bench):
+        # reference: add node by node, the c0 term, the c1 term, then the
+        # diagonal; the one-pass build must sum in that order, bit for bit
+        g = build_grid(bench, s_ref=100.0, n_time=10, n_space=201, n_age=0)
+        n, rows = g.log_s.size, np.arange(g.log_s.size)
+        jump = bench.jump
+        ref = [np.zeros((n, n)), np.zeros((n, n))]
+        for m, em in enumerate(jump.eta_vals):
+            c0, c1, w0, w1 = _spot_stencil(g, g.log_s + math.log1p(em))
+            for b, wt in zip(ref, (jump.w, jump.w * jump.eta_vals)):
+                b[rows, c0] += wt[m] * w0
+                b[rows, c1] += wt[m] * w1
+                b[rows, rows] -= wt[m]
+        for got, want in zip(_jump_matrices(bench, g), ref):
+            assert np.array_equal(got, want)
+
     def test_annihilates_constants(self, bench):
         g = build_grid(bench, s_ref=100.0, n_time=10, n_space=301, n_age=0)
         vals = np.ones((2, 301))
@@ -546,6 +566,35 @@ class TestSolvePrice:
         mid = np.sqrt(g.s[40] * g.s[41])
         v0, v1 = surf.values[3, 1, 40, 2], surf.values[3, 1, 41, 2]
         assert min(v0, v1) - 1e-12 <= surf.price(g.t[3], mid, 1, g.y[2]) <= max(v0, v1) + 1e-12
+
+    def test_off_grid_reads_extrapolate_linearly_in_spot(self, bench_call_surface):
+        surf = bench_call_surface
+        g = surf.grid
+        n, x = 3, 1
+        y = 0.5 * (g.y[2] + g.y[3])
+
+        def node(col):
+            return 0.5 * (surf.values[n, x, col, 2] + surf.values[n, x, col, 3])
+
+        below, above = g.s[0] * np.array([0.3, 0.9]), g.s[-1] * np.array([1.1, 3.0])
+        for c0, c1, s in ((0, 1, below), (-2, -1, above)):
+            ref = node(c0) + (node(c1) - node(c0)) * (s - g.s[c0]) / (g.s[c1] - g.s[c0])
+            assert_allclose(surf.value_at(g.t[n], s, x, y), ref, rtol=1e-12, atol=1e-12)
+
+    def test_jump_operator_matches_surface_reads(self, bench, bench_call_surface):
+        # B(t) psi = sum_m w_m Gamma_m(t) (psi(s (1 + eta_m)) - psi(s)), with
+        # psi read off the surface: the solver and the lookup share one stencil
+        surf = bench_call_surface
+        g = surf.grid
+        n = 3
+        got = jump_operator(bench, g.t[n], g, surf.values[n])
+        jump = bench.jump
+        shifted_s = g.s[None, :, None] * (1.0 + jump.eta_vals[:, None, None])
+        for i in range(bench.n_states):
+            here = surf.value_at(g.t[n], g.s[:, None], i, g.y)
+            diff = surf.value_at(g.t[n], shifted_s, i, g.y) - here
+            ref = np.tensordot(jump.w * bench.jump_tilt(g.t[n], i), diff, axes=1)
+            assert_allclose(got[i], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
     def test_csv_round_trip(self, bench, tmp_path):
         grid = build_grid(bench, s_ref=100.0, n_time=4, n_space=21, n_age=4)

@@ -453,6 +453,27 @@ class TestRegimePath:
         assert path.states[-1] == 1
         assert path.times.size == 1
 
+    def test_zero_rate_never_switches(self):
+        spec = RateSpec(n_states=2, rates={(0, 1): ConstantRate(0.0), (1, 0): ConstantRate(1.0)})
+        rng = np.random.default_rng(4)
+        assert sample_transition(spec, 0, 0.0, rng) == (math.inf, 0)
+        path = simulate_regime_path(spec, 0, 0.0, 50.0, rng)
+        assert path.times.size == 0 and path.state_at(50.0) == 0
+
+    def test_hazard_ending_below_the_level_keeps_the_regime(self):
+        # rate 1 - y on [0, 1], then 0: the hazard tops out at 1/2, so a
+        # path never switches with probability exp(-1/2), over any horizon past 1
+        spec = RateSpec(
+            n_states=2,
+            rates={(0, 1): TableRate([0.0, 1.0], [1.0, 0.0]), (1, 0): ConstantRate(1.0)},
+        )
+        rng = np.random.default_rng(21)
+        n = 2_000
+        stay = np.mean([simulate_regime_path(spec, 0, 0.0, 2.0, rng).times.size == 0
+                        for _ in range(n)])
+        p = math.exp(-0.5)
+        assert abs(stay - p) < 3.0 * math.sqrt(p * (1.0 - p) / n)
+
     def test_occupation_fraction_two_state(self, two_state_constant):
         # symmetric rates: long-run occupation of each state is 1/2
         rng = np.random.default_rng(17)

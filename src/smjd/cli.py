@@ -5,7 +5,9 @@ One JSON configuration file drives every subcommand; ``--seed`` and
 is read and checked before any solve or artifact, so a bad value exits
 with one ``smjd:`` line on stderr.  All artifacts are deterministic for
 a fixed seed: floats are written with round-trip precision, JSON keys
-are sorted, and Monte Carlo estimators reduce in path order.
+are sorted, and Monte Carlo estimators reduce in path order.  Each
+artifact is written atomically, so a failed command leaves no partial
+file.
 
 Subcommands
 -----------
@@ -25,7 +27,8 @@ hedge-backtest
     ``backtest.json``.
 xval
     Cross-validate the two grid solvers against each other and a Monte
-    Carlo interval; write ``xval.json``.
+    Carlo interval, ``fd`` on as many more time steps as its explicit-step
+    guard needs; write ``xval.json``.
 
 Exit codes
 ----------
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -49,8 +53,9 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._artifacts import write_artifact
 from ._config import number, section, text
-from .fd import solve_price_fd
+from .fd import MAX_EXPLICIT_STEP, explicit_gain, solve_price_fd
 from .market import (
     check_no_arbitrage,
     market_model_from_dict,
@@ -73,6 +78,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+#: most times the configured time steps that ``xval`` gives ``fd``
+FD_REFINE_LIMIT = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,20 +141,55 @@ def _state_of(cfg: dict, model) -> tuple[float, int, float]:
     return s0, x0, _age_of(cfg)
 
 
-def _grid_of(cfg: dict, model, s0: float):
+def _grid_of(cfg: dict, model, s0: float, n_time: int | None = None):
+    """The configured grid; with ``n_time``, the same spot nodes and at
+    least the same age span on that many time steps."""
     g = section(cfg, "grid", {})
+    n_cfg = number(g, "n_time", 50, int)
+    n_age = number(g, "n_age", None, int)
+    if n_time is not None and n_age is not None:
+        n_age = -(-n_age * n_time // n_cfg)
     return build_grid(
         model,
         s_ref=number(g, "s_ref", s0),
-        n_time=number(g, "n_time", 50, int),
+        n_time=n_cfg if n_time is None else n_time,
         n_space=number(g, "n_space", 401, int),
-        n_age=number(g, "n_age", None, int),
+        n_age=n_age,
         width=number(g, "width", 6.0),
     )
 
 
+def _fd_grid_of(cfg: dict, model, s0: float, grid):
+    """``grid`` on the fewest time steps, no fewer than its own, whose
+    step passes the ``fd`` explicit-step guard; at most ``FD_REFINE_LIMIT``
+    times its own, since the surface grows with the steps squared on age
+    rows."""
+    limit = FD_REFINE_LIMIT * (grid.t.size - 1)
+    while True:
+        gain = explicit_gain(model, grid)
+        if not (math.isfinite(gain) and grid.dt * gain > MAX_EXPLICIT_STEP):
+            return grid
+        # one step more at least: the gain moves with the age rows
+        n_time = max(grid.t.size, math.ceil(model.horizon * gain / MAX_EXPLICIT_STEP))
+        if n_time > limit:
+            raise GridResolutionError(
+                f"fd needs {n_time} time steps for its explicit-step guard, more than "
+                f"{FD_REFINE_LIMIT} times the configured grid's; refine the time grid"
+            )
+        grid = _grid_of(cfg, model, s0, n_time)
+
+
+def _grid_report(grid) -> dict:
+    return {
+        "n_time": grid.t.size - 1,
+        "n_space": grid.log_s.size,
+        "n_age": grid.y.size - 1,
+        "s_ref": grid.s_ref,
+    }
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_artifact(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +307,11 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
     }
     if method in ("ie", "fd"):
         surface = _solve_surface(cfg, model, payoff, method, s0)
-        grid = surface.grid
         report.update(
             {
                 "price": surface.price(0.0, s0, x0, y0),
                 "hedge": float(surface.hedge_at(0.0, s0, x0, y0)),
-                "grid": {
-                    "n_time": grid.t.size - 1,
-                    "n_space": grid.log_s.size,
-                    "n_age": grid.y.size - 1,
-                    "s_ref": grid.s_ref,
-                },
+                "grid": _grid_report(surface.grid),
             }
         )
         surface.to_csv(out / "surface.csv")
@@ -333,8 +370,9 @@ def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
     _require_sample(mc_paths, level)
 
     grid = _grid_of(cfg, model, s0)
+    fd_grid = _fd_grid_of(cfg, model, s0, grid)
     price_ie = solve_price(model, payoff, grid).price(0.0, s0, x0, y0)
-    price_fd = solve_price_fd(model, payoff, grid).price(0.0, s0, x0, y0)
+    price_fd = solve_price_fd(model, payoff, fd_grid).price(0.0, s0, x0, y0)
     est = price_mc_q(model, payoff, s0, x0, y0, n_paths=mc_paths, seed=seed, level=level)
 
     rel_gap = abs(price_ie - price_fd) / max(abs(price_ie), abs(price_fd), 1e-12)
@@ -373,6 +411,8 @@ def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
             "mc": est.to_dict(),
             "ie_in_ci": ie_in_ci,
             "fd_in_ci": fd_in_ci,
+            "ie_grid": _grid_report(grid),
+            "fd_grid": _grid_report(fd_grid),
             "pairs": pairs,
             "passed": passed,
         },

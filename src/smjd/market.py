@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._artifacts import write_artifact
 from ._config import array, number, section, text
 from .regimes import RateSpec, rate_spec_from_dict, simulate_regime_path
 
@@ -464,12 +465,11 @@ class PathRecord:
     int_r: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,S,X,Y,event,z\n")
-            for t, s, x, y, ev, z in zip(
-                self.times, self.spot, self.regime, self.age, self.events, self.z_marks
-            ):
-                fh.write(f"{t:.17g},{s:.17g},{int(x)},{y:.17g},{ev},{z:.17g}\n")
+        """Rows ``t,S,X,Y,event,z``, one per recorded event."""
+        cols = (self.times, self.spot, self.regime, self.age, self.events, self.z_marks)
+        cells = tuple(v for row in zip(*(c.tolist() for c in cols)) for v in row)
+        rows = "%.17g,%.17g,%d,%.17g,%s,%.17g\n" * len(self.times)
+        write_artifact(path, ["t,S,X,Y,event,z\n", rows % cells])
 
 
 def simulate_asset_path(

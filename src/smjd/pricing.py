@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._artifacts import surface_rows, write_artifact
 from .market import MarketModel, check_no_arbitrage
 from .regimes import cumulative_hazard
 
@@ -174,15 +175,20 @@ def _spot_stencil(grid: SurfaceGrid, log_q):
     ``c0, c1`` and the weights ``w0, w1``, each shaped like ``log_q``."""
     u, s = grid.log_s, grid.s
     n = u.size
+    log_q = np.asarray(log_q, dtype=float)
     pos = (log_q - u[0]) / (u[1] - u[0])
     c0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    frac = pos - c0
-    sq = np.exp(log_q)
-    g_lo = (sq - s[0]) / (s[1] - s[0])
-    g_hi = (sq - s[-1]) / (s[-1] - s[-2])
-    below, above = pos < 0.0, pos > n - 1.0
-    w0 = np.where(below, 1.0 - g_lo, np.where(above, -g_hi, 1.0 - frac))
-    w1 = np.where(below, g_lo, np.where(above, 1.0 + g_hi, frac))
+    w1 = np.asarray(pos - c0)
+    w0 = np.asarray(1.0 - w1)
+    # the spot, and the tail weights, only where a query leaves the grid
+    below = pos < 0.0
+    if below.any():
+        g_lo = (np.exp(log_q[below]) - s[0]) / (s[1] - s[0])
+        w0[below], w1[below] = 1.0 - g_lo, g_lo
+    above = pos > n - 1.0
+    if above.any():
+        g_hi = (np.exp(log_q[above]) - s[-1]) / (s[-1] - s[-2])
+        w0[above], w1[above] = -g_hi, 1.0 + g_hi
     return c0, c0 + 1, w0, w1
 
 
@@ -456,21 +462,7 @@ class PriceSurface:
         if self.hedge is None:
             raise ValueError("hedge layer not filled")
         g = self.grid
-        k = self.values.shape[1]
-        tt, ss, xx, yy = np.meshgrid(g.t, g.s, np.arange(k), g.y, indexing="ij")
-        price = self.values.transpose(0, 2, 1, 3)
-        xi = self.hedge.transpose(0, 2, 1, 3)
-        data = np.column_stack(
-            [tt.ravel(), ss.ravel(), xx.ravel(), yy.ravel(), price.ravel(), xi.ravel()]
-        )
-        np.savetxt(
-            path,
-            data,
-            delimiter=",",
-            header="t,s,regime,y,price,xi",
-            comments="",
-            fmt=["%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
-        )
+        write_artifact(path, surface_rows(g.t, g.s, g.y, self.values, self.hedge))
 
 
 def _warn_if_inadmissible(model: MarketModel) -> None:

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import tempfile
@@ -335,6 +336,34 @@ class TestPrice:
         assert len(err) == 1 and "(1, 2)" in err[0] and "at age 0;" in err[0], err
         assert not (out / "price.json").exists() and not (out / "surface.csv").exists()
 
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_write_leaves_no_partial_artifact(
+        self, write_config, tmp_path, capsys, monkeypatch, failing
+    ):
+        # surface.csv is renamed into place first, price.json second; the
+        # failing rename raises as a full disk or a lost directory would
+        cfg = write_config(base_config())
+        whole = tmp_path / "whole"
+        assert main(["price", "--config", str(cfg), "--out", str(whole)]) == 0
+        capsys.readouterr()
+        replace, calls = os.replace, []
+
+        def replace_or_fail(src, dst):
+            calls.append(dst)
+            if len(calls) == failing:
+                raise OSError(f"cannot rename onto {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr("smjd._artifacts.os.replace", replace_or_fail)
+        out = tmp_path / "out"
+        assert main(["price", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smjd: i/o error"), err
+        # no temporary file, no price.json, and surface.csv only when whole
+        assert sorted(p.name for p in out.iterdir()) == ["surface.csv"][: failing - 1]
+        if failing == 2:
+            assert (out / "surface.csv").read_bytes() == (whole / "surface.csv").read_bytes()
+
 
 class TestHedgeBacktest:
     def test_report_written(self, write_config, tmp_path):
@@ -371,6 +400,47 @@ class TestXval:
         assert main(["xval", "--config", str(cfg), "--out", str(out)]) == 2
         rep = json.loads((out / "xval.json").read_text())
         assert rep["passed"] is False
+
+    def test_fd_gets_the_fewest_steps_its_explicit_guard_allows(self, write_config, tmp_path):
+        # 12 steps suit ie here, but give fd dt * gain = 0.564 > 0.5
+        cfg = weibull_config()
+        cfg["model"]["regimes"]["rates"] = [
+            {"from": i, "to": j, "family": "weibull", "params": {"scale": scale, "shape": 2.0}}
+            for i, j, scale in [(0, 1, 0.8), (1, 2, 1.4), (2, 0, 1.0)]
+        ]
+        cfg["model"].update(
+            mu=[0.07, 0.05, 0.03],
+            sigma={"kind": "constant", "values": [0.22, 0.28, 0.18]},
+            T=1.0,
+        )
+        cfg["model"]["jump"] = {
+            "eta": {"kind": "clamp", "slope": 1.0, "lo": -0.5, "hi": 1.0},
+            "density": {"kind": "uniform", "scale": 0.75},
+            "interval": [-0.5, 1.0],
+            "n": 201,
+        }
+        cfg.update(grid={"n_time": 12, "n_space": 201}, xval={"mc_paths": 2000, "tolerance": 0.05})
+        out = tmp_path / "out"
+        assert main(["xval", "--config", str(write_config(cfg)), "--out", str(out)]) == 0
+        rep = json.loads((out / "xval.json").read_text())
+        assert rep["pairs"][0]["passed"]
+        assert rep["ie_grid"] == {"n_time": 12, "n_space": 201, "n_age": 12, "s_ref": 100.0}
+        assert rep["fd_grid"] == {"n_time": 14, "n_space": 201, "n_age": 14, "s_ref": 100.0}
+        cfg.update(method="fd", grid={"n_time": 13, "n_space": 201})
+        code = main(["price", "--config", str(write_config(cfg)), "--out", str(tmp_path / "fd")])
+        assert code == 2
+
+    def test_fd_refinement_beyond_the_limit_exits_two_before_solve(
+        self, write_config, tmp_path, capsys, monkeypatch
+    ):
+        # switch rate 400 on 8 steps over T = 0.5 needs over 16 x 8 fd steps
+        monkeypatch.setattr("smjd.cli.solve_price", _must_not_solve)
+        cfg = write_config(base_config(model=model_dict(rate=400.0)))
+        out = tmp_path / "out"
+        assert main(["xval", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "fd needs" in err[0], err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_level_rejected_before_solve(self, write_config, tmp_path, monkeypatch):
         monkeypatch.setattr("smjd.cli.solve_price", _must_not_solve)
@@ -413,7 +483,8 @@ class TestManifest:
 
 def weibull_config():
     """Three Weibull regimes switching 0 -> 1 -> 2 -> 0, five jump nodes,
-    priced by ``ie`` on 4 x 41 nodes from regime 1 at age 0.3."""
+    priced by ``ie`` on 4 x 41 nodes from regime 1 at age 0.3, with small
+    hedge and cross-validation samples."""
 
     def weibull(i, j, scale):
         return {"from": i, "to": j, "family": "weibull", "params": {"scale": scale, "shape": 1.5}}
@@ -440,6 +511,8 @@ def weibull_config():
         "seed": 7,
         "method": "ie",
         "grid": {"n_time": 4, "n_space": 41, "n_age": 4},
+        "hedge": {"n_paths": 20, "n_rebalance": 10},
+        "xval": {"tolerance": 0.1, "mc_paths": 200},
     }
 
 
@@ -461,11 +534,14 @@ MUTANTS = [None, True, "x", -1, 0, 0.5, [], {}, [1, 2], {"a": 1}, DELETE]
 @given(
     leaf=st.sampled_from(list(_leaves(weibull_config()))),
     mutant=st.sampled_from(MUTANTS),
-    command=st.sampled_from(["check", "integrals", "simulate", "price"]),
+    command=st.sampled_from(
+        ["check", "integrals", "simulate", "price", "hedge-backtest", "xval"]
+    ),
 )
 def test_config_mutation_exits_cleanly(leaf, mutant, command):
     # any one-leaf change of a valid config ends in a documented exit code,
-    # and a failure says so in one line, without a traceback or a surface
+    # and a failure says so in one line, without a traceback, a surface or
+    # a temporary or partial artifact
     cfg = weibull_config()
     parent = cfg
     for key in leaf[:-1]:
@@ -483,6 +559,8 @@ def test_config_mutation_exits_cleanly(leaf, mutant, command):
             warnings.simplefilter("ignore")
             code = main([command, "--config", str(path), "--out", str(out)])
         surface_written = (out / "surface.csv").exists()
+        written = sorted(out.iterdir()) if out.exists() else []
+        reports = [json.loads(p.read_text()) for p in written if p.suffix == ".json"]
         report = None
         if command == "price" and code == 0:
             report = json.loads((out / "price.json").read_text())
@@ -493,6 +571,8 @@ def test_config_mutation_exits_cleanly(leaf, mutant, command):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("smjd:"), lines
         assert not surface_written
+        assert all(p.suffix in (".json", ".csv") for p in written), written
+        assert all(isinstance(r, dict) for r in reports)
 
 
 @pytest.mark.skipif(shutil.which("smjd") is None, reason="console script not on PATH")

@@ -291,6 +291,22 @@ class TestAssetPath:
         data = np.genfromtxt(f, delimiter=",", names=True, dtype=None, encoding="utf-8")
         np.testing.assert_allclose(data["S"], path.spot, rtol=1e-15)
 
+    def test_csv_bytes_equal_the_row_writer(self, tmp_path):
+        model = two_regime_model()
+        rng = np.random.default_rng(0)
+        path = simulate_asset_path(model, 100.0, 0, 0.0, rng, record_times=np.linspace(0, 1, 11))
+        assert {"grid", "regime", "jump"} <= set(path.events.tolist())
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        path.to_csv(new)
+        # the row-by-row writer to_csv replaced, kept as the oracle of its bytes
+        with open(old, "w", encoding="utf-8") as fh:
+            fh.write("t,S,X,Y,event,z\n")
+            for t, s, x, y, ev, z in zip(
+                path.times, path.spot, path.regime, path.age, path.events, path.z_marks
+            ):
+                fh.write(f"{t:.17g},{s:.17g},{int(x)},{y:.17g},{ev},{z:.17g}\n")
+        assert new.read_bytes() == old.read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # Density of the measure change

@@ -26,10 +26,13 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from smjd import pricing
+from smjd.fd import solve_price_fd
 from smjd.market import EtaClamp, JumpSpec, MarketModel, simulate_asset_path
 from smjd.payoffs import Payoff, payoff_from_dict
 from smjd.pricing import (
     AdmissibilityWarning,
+    PriceSurface,
     _EvolutionEngine,
     _jump_matrices,
     _spot_stencil,
@@ -47,6 +50,27 @@ BETA1_R1 = -0.03375 / 0.465
 J_R0 = (0.05 - 0.08 - 0.375) / (0.04 + 0.375)
 J_R1 = (0.05 - 0.05 - 0.375) / (0.09 + 0.375)
 BS_CALL_ATM = 10.450583572185565
+
+
+def savetxt_surface(surf, path):
+    """The ``np.savetxt`` writer ``PriceSurface.to_csv`` replaced, kept as
+    the oracle of its bytes."""
+    g = surf.grid
+    k = surf.values.shape[1]
+    tt, ss, xx, yy = np.meshgrid(g.t, g.s, np.arange(k), g.y, indexing="ij")
+    price = surf.values.transpose(0, 2, 1, 3)
+    xi = surf.hedge.transpose(0, 2, 1, 3)
+    data = np.column_stack(
+        [tt.ravel(), ss.ravel(), xx.ravel(), yy.ravel(), price.ravel(), xi.ravel()]
+    )
+    np.savetxt(
+        path,
+        data,
+        delimiter=",",
+        header="t,s,regime,y,price,xi",
+        comments="",
+        fmt=["%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+    )
 
 
 def bs_call(s, k, r, sigma, t):
@@ -606,6 +630,43 @@ class TestSolvePrice:
         k = 3 * (21 * 2 * 5) + 7 * (2 * 5) + 1 * 5 + 2
         assert data["price"][k] == pytest.approx(surf.values[3, 1, 7, 2], rel=1e-15)
         assert data["xi"][k] == pytest.approx(surf.hedge[3, 1, 7, 2], rel=1e-15)
+
+    @pytest.mark.parametrize("case", ["ie-with-age-rows", "fd-without-age-rows", "special-values"])
+    def test_csv_bytes_equal_the_savetxt_writer(self, bench, tmp_path, case):
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        if case == "ie-with-age-rows":
+            surf = solve_price(bench, payoff, build_grid(bench, 100.0, 6, 41, n_age=6))
+        elif case == "fd-without-age-rows":
+            surf = solve_price_fd(bench, payoff, build_grid(bench, 100.0, 16, 41, n_age=0))
+        else:
+            grid = build_grid(bench, s_ref=100.0, n_time=2, n_space=5, n_age=2)
+            special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308,
+                       0.1, 1.0 / 3.0, -2.5e-17, 123456789.0, 1e16, 1e17]
+            pick = np.random.default_rng(3).integers(0, len(special), (2, 3, 2, 5, 3))
+            values = np.asarray(special)[pick]
+            surf = PriceSurface(grid=grid, values=values[0], hedge=values[1])
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        surf.to_csv(new)
+        savetxt_surface(surf, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_failed_rewrite_keeps_the_whole_old_file(self, bench, tmp_path, monkeypatch):
+        grid = build_grid(bench, s_ref=100.0, n_time=4, n_space=21, n_age=4)
+        surf = solve_price(bench, Payoff(kind="call", strikes=(100.0,)), grid)
+        out = tmp_path / "surface.csv"
+        surf.to_csv(out)
+        before = out.read_bytes()
+
+        def first_layer_then_fail(*args):
+            yield next(rows(*args))
+            raise OSError("disk full")
+
+        rows = pricing.surface_rows
+        monkeypatch.setattr(pricing, "surface_rows", first_layer_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            surf.to_csv(out)
+        assert out.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
 
 
 class TestHedgeRatio:

@@ -141,12 +141,20 @@ def _state_of(cfg: dict, model) -> tuple[float, int, float]:
     return s0, x0, _age_of(cfg)
 
 
+def _age_free(rate) -> bool:
+    return rate.family == "constant" or (rate.family == "weibull" and rate.shape == 1.0)
+
+
 def _grid_of(cfg: dict, model, s0: float, n_time: int | None = None):
     """The configured grid; with ``n_time``, the same spot nodes and at
-    least the same age span on that many time steps."""
+    least the same age span on that many time steps.  Without ``n_age``,
+    one age row per time step, or a single row when no exit rate depends
+    on the age (the price then does not either)."""
     g = section(cfg, "grid", {})
     n_cfg = number(g, "n_time", 50, int)
     n_age = number(g, "n_age", None, int)
+    if n_age is None and all(_age_free(fn) for fn in model.rates.rates.values()):
+        n_age = 0
     if n_time is not None and n_age is not None:
         n_age = -(-n_age * n_time // n_cfg)
     return build_grid(

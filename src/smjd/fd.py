@@ -30,7 +30,7 @@ from .pricing import (
     GridResolutionError,
     PriceSurface,
     SurfaceGrid,
-    _jump_matrices,
+    _jump_operators,
     _jump_term,
     _require_finite_rates,
     _warn_if_inadmissible,
@@ -124,7 +124,7 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
         for i in range(k)
     ]
     next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
-    jumps = _jump_matrices(model, grid) if model.jump.z.size else None
+    jumps = _jump_operators(model, grid) if model.jump.z.size else None
     banded = None
     if model.sigma_values is not None:
         banded = [_banded_operator(model, grid, i, 0.0, dt) for i in range(k)]
@@ -144,5 +144,5 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
             ab = banded[i] if banded is not None else _banded_operator(model, grid, i, t0, dt)
             vals[n, i] = solve_banded((1, 1), ab, rhs)
     surface = PriceSurface(grid=grid, values=vals)
-    surface.hedge = hedge_ratio(model, surface)
+    surface.hedge = hedge_ratio(model, surface, jumps[1] if jumps else None)
     return surface

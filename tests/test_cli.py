@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smjd import pricing
 from smjd.cli import main
 
 
@@ -275,6 +276,37 @@ class TestPrice:
         assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
         assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "price.json").read_bytes() == (out_b / "price.json").read_bytes()
+
+    def test_fft_grid_rerun_byte_identical(self, write_config, tmp_path):
+        grid = {"n_time": 8, "n_space": 1601, "n_age": 0}
+        assert pricing._use_fft(1601, 1 + 2)
+        cfg = write_config(base_config(grid=grid))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
+        assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
+        for name in ("surface.csv", "price.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("family", ["constant", "weibull-shape-1"])
+    def test_age_free_rates_default_to_one_age_row(self, write_config, tmp_path, family):
+        cfg = base_config(grid={"n_time": 8, "n_space": 101}, y0=0.2)
+        if family == "weibull-shape-1":
+            params = {"scale": 1.0, "shape": 1.0}
+            cfg["model"]["regimes"]["rates"] = [
+                {"from": i, "to": 1 - i, "family": "weibull", "params": params} for i in (0, 1)
+            ]
+        reports = []
+        for name, n_age in (("default", None), ("full", 8)):
+            if n_age is not None:
+                cfg["grid"]["n_age"] = n_age
+            out = tmp_path / name
+            path = write_config(cfg, f"{name}.json")
+            assert main(["price", "--config", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "price.json").read_text()))
+        default, full = reports
+        assert default["grid"]["n_age"] == 0 and full["grid"]["n_age"] == 8
+        assert abs(default["price"] - full["price"]) <= 1e-12
+        assert abs(default["hedge"] - full["hedge"]) <= 1e-12
 
     def test_unknown_method_exits_one(self, write_config, tmp_path):
         cfg = write_config(base_config(method="tree"))

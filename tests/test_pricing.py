@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from smjd import pricing
@@ -34,7 +35,8 @@ from smjd.pricing import (
     AdmissibilityWarning,
     PriceSurface,
     _EvolutionEngine,
-    _jump_matrices,
+    _jump_operators,
+    _projection_operator,
     _spot_stencil,
     build_grid,
     evolution_apply,
@@ -71,6 +73,61 @@ def savetxt_surface(surf, path):
         comments="",
         fmt=["%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
     )
+
+
+def projection_matrix(log_s, drift, var):
+    """The dense ``n x n`` build the structured ``ie`` kernel replaced,
+    kept as its oracle: every entry from the normal partial moments of its
+    own cell offsets, the tails folded into the two end columns."""
+    u = log_s
+    n = u.size
+    h = u[1] - u[0]
+    s = np.exp(u)
+    sd = math.sqrt(var)
+    x = (u[None, :] - (u[:, None] + drift)) / sd
+    cdf = ndtr(x)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    mass = cdf[:, 1:] - cdf[:, :-1]
+    first = pdf[:, :-1] - pdf[:, 1:]
+    rel = drift * mass + sd * first
+    offs = u[None, :] - u[:, None]
+    mat = np.zeros((n, n))
+    mat[:, :-1] += (offs[:, 1:] * mass - rel) / h
+    mat[:, 1:] += (rel - offs[:, :-1] * mass) / h
+    mean = np.exp(u + drift + 0.5 * var)
+    p_lo = cdf[:, 0]
+    e_lo = mean * ndtr(x[:, 0] - sd)
+    t_lo = (e_lo - s[0] * p_lo) / (s[1] - s[0])
+    mat[:, 0] += p_lo - t_lo
+    mat[:, 1] += t_lo
+    p_hi = ndtr(-x[:, -1])
+    e_hi = mean * ndtr(sd - x[:, -1])
+    t_hi = (e_hi - s[-1] * p_hi) / (s[-1] - s[-2])
+    mat[:, -1] += p_hi + t_hi
+    mat[:, -2] -= t_hi
+    return mat
+
+
+def two_row_lookup(surf, arr, t, s, x, y):
+    """``PriceSurface`` lookup as it was before its one-age-row path: the
+    time blend, then two age rows blended."""
+    grid = surf.grid
+    pos = (float(t) - grid.t[0]) / grid.dt
+    n0 = int(np.clip(np.floor(pos), 0, grid.t.size - 2))
+    wt = float(np.clip(pos - n0, 0.0, 1.0))
+    layer = arr[n0] if wt == 0.0 else (1.0 - wt) * arr[n0] + wt * arr[n0 + 1]
+    s, x, y = np.broadcast_arrays(
+        np.asarray(s, dtype=float), np.asarray(x, dtype=int), np.asarray(y, dtype=float)
+    )
+    c0, c1, w0, w1 = _spot_stencil(grid, np.log(s))
+    n_age = grid.y.size - 1
+    pos_y = np.clip((y - grid.y[0]) / grid.dt, 0.0, n_age)
+    iy = np.floor(pos_y).astype(int)
+    fy = pos_y - iy
+    iy1 = np.minimum(iy + 1, n_age)
+    lo = w0 * layer[x, c0, iy] + w1 * layer[x, c1, iy]
+    hi = w0 * layer[x, c0, iy1] + w1 * layer[x, c1, iy1]
+    return (1.0 - fy) * lo + fy * hi
 
 
 def bs_call(s, k, r, sigma, t):
@@ -304,9 +361,10 @@ class TestGrid:
 
 
 class TestJumpOperator:
-    def test_matrices_equal_the_node_loop(self, bench):
+    def test_matrices_equal_the_node_loop(self, bench, monkeypatch):
         # reference: add node by node, the c0 term, the c1 term, then the
-        # diagonal; the one-pass build must sum in that order, bit for bit
+        # diagonal.  Its weights take pos - floor(pos) with pos up to n, so
+        # they carry about n eps of rounding; the stencil's do not
         g = build_grid(bench, s_ref=100.0, n_time=10, n_space=201, n_age=0)
         n, rows = g.log_s.size, np.arange(g.log_s.size)
         jump = bench.jump
@@ -317,8 +375,13 @@ class TestJumpOperator:
                 b[rows, c0] += wt[m] * w0
                 b[rows, c1] += wt[m] * w1
                 b[rows, rows] -= wt[m]
-        for got, want in zip(_jump_matrices(bench, g), ref):
-            assert np.array_equal(got, want)
+        v = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 3))
+        for fft in (False, True):
+            monkeypatch.setattr(pricing, "_use_fft", lambda n, cols: fft)
+            for got, want in zip(_jump_operators(bench, g), ref):
+                assert (got.spectrum is not None) == fft
+                assert np.abs(got.dense() - want).max() <= 1e-12
+                assert np.abs(got @ v - want @ v).max() <= 1e-12 * n
 
     def test_annihilates_constants(self, bench):
         g = build_grid(bench, s_ref=100.0, n_time=10, n_space=301, n_age=0)
@@ -361,6 +424,43 @@ class TestJumpOperator:
         g = build_grid(m, s_ref=100.0, n_time=10, n_space=51, n_age=0)
         out = jump_operator(m, 0.0, g, np.random.default_rng(1).normal(size=(1, 51)))
         assert np.all(out == 0.0)
+
+
+class TestProjectionOperator:
+    @given(
+        n=st.integers(4, 3201),
+        drift=st.floats(-0.2, 0.2),
+        var=st.floats(1e-6, 0.5),
+        fft=st.booleans(),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_matches_the_dense_oracle(self, n, drift, var, fft):
+        g = build_grid(benchmark_model(), s_ref=100.0, n_time=10, n_space=n, n_age=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pricing, "_use_fft", lambda n, cols: fft)
+            op = _projection_operator(g.log_s, drift, var, 3)
+        assert (op.spectrum is not None) == fft
+        mat = op.dense()
+        # the oracle's offsets u_j - u_l carry |u| eps of rounding, which its
+        # normal arguments divide by the kernel's width
+        atol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(g.log_s).max() / math.sqrt(var)
+        assert_allclose(mat, projection_matrix(g.log_s, drift, var), rtol=1e-12, atol=atol)
+        v = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+        scale = (np.abs(mat) @ np.abs(v)).max()
+        assert np.abs(op @ v - mat @ v).max() <= 1e-13 * scale
+
+    def test_one_step_defect_by_fft_at_3201_nodes(self, bench, monkeypatch):
+        # the FFT path never fills an n x n array
+        def no_dense(self):
+            raise AssertionError("dense matrix built on the FFT path")
+
+        monkeypatch.setattr(pricing._GridOperator, "dense", no_dense)
+        grid = build_grid(bench, s_ref=100.0, n_time=24, n_space=3201, n_age=0)
+        engine = _EvolutionEngine(bench, grid)
+        assert all(engine.kernel(i, 0.0).matrix is None for i in (0, 1))
+        assert all(b.matrix is None for b in engine.jumps)
+        ones = np.ones((2, 3201, 1))
+        assert np.abs(engine.u_step(ones, grid.t[-2]) - 1.0).max() <= 1e-12
 
 
 class TestEvolution:
@@ -590,6 +690,17 @@ class TestSolvePrice:
         mid = np.sqrt(g.s[40] * g.s[41])
         v0, v1 = surf.values[3, 1, 40, 2], surf.values[3, 1, 41, 2]
         assert min(v0, v1) - 1e-12 <= surf.price(g.t[3], mid, 1, g.y[2]) <= max(v0, v1) + 1e-12
+
+    def test_one_age_row_lookup_equals_the_two_row_blend(self, bs_surface):
+        surf = bs_surface
+        g = surf.grid
+        rng = np.random.default_rng(11)
+        s = np.concatenate([g.s[::7], rng.uniform(0.5 * g.s[0], 2.0 * g.s[-1], 200)])
+        for t in (0.0, g.t[7], 0.5 * (g.t[7] + g.t[8]), 0.33, 1.0):
+            for y in (0.0, 0.25, np.linspace(0.0, 2.0, s.size)):
+                for arr, at in ((surf.values, surf.value_at), (surf.hedge, surf.hedge_at)):
+                    want = two_row_lookup(surf, arr, t, s, 0, y)
+                    assert np.array_equal(at(t, s, 0, y), want)
 
     def test_off_grid_reads_extrapolate_linearly_in_spot(self, bench_call_surface):
         surf = bench_call_surface

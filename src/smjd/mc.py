@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .market import (
     MarketModel,
@@ -97,7 +97,7 @@ def _estimate(vals: np.ndarray, seed: int, level: float) -> McEstimate:
     n = vals.size
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n))
-    half = float(norm.ppf(0.5 + 0.5 * level)) * se
+    half = float(ndtri(0.5 + 0.5 * level)) * se
     return McEstimate(
         value=mean,
         std_error=se,

@@ -568,7 +568,6 @@ class PriceSurface:
         pos = (float(t) - grid.t[0]) / grid.dt
         n0 = int(np.clip(np.floor(pos), 0, grid.t.size - 2))
         wt = float(np.clip(pos - n0, 0.0, 1.0))
-        layer = arr[n0] if wt == 0.0 else (1.0 - wt) * arr[n0] + wt * arr[n0 + 1]
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=int)
         y = np.asarray(y, dtype=float)
@@ -581,16 +580,25 @@ class PriceSurface:
         # the solver's own off-node rule in spot, linear in age between rows
         c0, c1, w0, w1 = _spot_stencil(grid, np.log(s))
         n_age = grid.y.size - 1
+        # flat offsets of (x, c0, age 0) and (x, c1, age 0) in one time layer
+        row = x * arr.shape[2]
+        f0, f1 = (row + c0) * (n_age + 1), (row + c1) * (n_age + 1)
+
+        def layer(f):
+            # linear in time, blending only the entries this lookup reads
+            v = arr[n0].take(f)
+            return v if wt == 0.0 else (1.0 - wt) * v + wt * arr[n0 + 1].take(f)
+
         if n_age == 0:
             # every age reads the one row
-            out = w0 * layer[x, c0, 0] + w1 * layer[x, c1, 0]
+            out = w0 * layer(f0) + w1 * layer(f1)
             return out if out.ndim else float(out)
         pos_y = np.clip((y - grid.y[0]) / grid.dt, 0.0, n_age)
         iy = np.floor(pos_y).astype(int)
         fy = pos_y - iy
         iy1 = np.minimum(iy + 1, n_age)
-        lo = w0 * layer[x, c0, iy] + w1 * layer[x, c1, iy]
-        hi = w0 * layer[x, c0, iy1] + w1 * layer[x, c1, iy1]
+        lo = w0 * layer(f0 + iy) + w1 * layer(f1 + iy)
+        hi = w0 * layer(f0 + iy1) + w1 * layer(f1 + iy1)
         out = (1.0 - fy) * lo + fy * hi
         return out if out.ndim else float(out)
 

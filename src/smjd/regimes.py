@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._config import array, number, section, sections, text
 
@@ -383,6 +382,8 @@ def _invert_hazard(spec: RateSpec, i: int, y0: float, target: float) -> float:
             shape = shapes.pop()
             scale = sum(fn.scale for _, fn in exits)
             return (y0**shape + target / scale) ** (1.0 / shape) - y0
+
+    from scipy.optimize import brentq  # imported here: only mixed families need it
 
     base = float(cumulative_hazard(spec, i, y0))
 

@@ -106,13 +106,17 @@ class TestQPricing:
         assert a.value != c.value
 
     def test_estimate_interval_level(self, bench):
-        est = price_mc_q(
-            bench, Payoff(kind="call", strikes=(100.0,)),
-            s0=100.0, x0=0, y0=0.0, n_paths=500, seed=1, level=0.99,
-        )
-        z = norm.ppf(0.995)
-        assert est.ci_high - est.ci_low == pytest.approx(2 * z * est.std_error, rel=1e-12)
-        assert isinstance(est, McEstimate)
+        # the half-width is the normal quantile times the standard error,
+        # bit for bit as scipy.stats computes the quantile
+        for level in (0.9, 0.95, 0.99, 0.999):
+            est = price_mc_q(
+                bench, Payoff(kind="call", strikes=(100.0,)),
+                s0=100.0, x0=0, y0=0.0, n_paths=500, seed=1, level=level,
+            )
+            half = float(norm.ppf(0.5 + 0.5 * level)) * est.std_error
+            assert est.ci_low == est.value - half
+            assert est.ci_high == est.value + half
+            assert isinstance(est, McEstimate)
 
 
 class TestPWeighted:

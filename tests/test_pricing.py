@@ -109,8 +109,8 @@ def projection_matrix(log_s, drift, var):
 
 
 def two_row_lookup(surf, arr, t, s, x, y):
-    """``PriceSurface`` lookup as it was before its one-age-row path: the
-    time blend, then two age rows blended."""
+    """``PriceSurface`` lookup as it was before its one-age-row path and its
+    gathered time blend: the whole time layer blended, then two age rows."""
     grid = surf.grid
     pos = (float(t) - grid.t[0]) / grid.dt
     n0 = int(np.clip(np.floor(pos), 0, grid.t.size - 2))
@@ -701,6 +701,20 @@ class TestSolvePrice:
                 for arr, at in ((surf.values, surf.value_at), (surf.hedge, surf.hedge_at)):
                     want = two_row_lookup(surf, arr, t, s, 0, y)
                     assert np.array_equal(at(t, s, 0, y), want)
+
+    @pytest.mark.parametrize("name", ["bs_surface", "bench_call_surface"])
+    def test_lookup_time_blend_equals_the_whole_layer_blend(self, name, request):
+        # n_age 0 and 30; on-node, off-node and clamped times
+        surf = request.getfixturevalue(name)
+        g = surf.grid
+        rng = np.random.default_rng(5)
+        s = np.concatenate([g.s[::9], rng.uniform(0.5 * g.s[0], 2.0 * g.s[-1], 150)])
+        x = rng.integers(0, surf.values.shape[1], s.size)
+        y = rng.uniform(0.0, 1.2 * g.y[-1] + 0.1, s.size)
+        for t in (0.0, g.t[7], 0.5 * (g.t[7] + g.t[8]), 0.33, g.t[-1], 1.5):
+            for arr, at in ((surf.values, surf.value_at), (surf.hedge, surf.hedge_at)):
+                assert np.array_equal(at(t, s, x, y), two_row_lookup(surf, arr, t, s, x, y))
+                assert at(t, 101.0, 0, 0.2) == two_row_lookup(surf, arr, t, 101.0, 0, 0.2)
 
     def test_off_grid_reads_extrapolate_linearly_in_spot(self, bench_call_surface):
         surf = bench_call_surface

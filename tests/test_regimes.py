@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
 from smjd.regimes import (
+    INVERSION_MAX_ITER,
+    INVERSION_TOL,
     ConstantRate,
     RateSpec,
     TableRate,
@@ -400,6 +403,29 @@ class TestSampling:
              for _ in range(1)]
         assert a == b
         assert a[0][0] > 0.0
+
+
+    def test_mixed_family_draws_equal_a_brentq_inversion(self, mixed_spec):
+        # the same seed drives the sampler and an in-test inversion of
+        # hazard(y0 + h) - hazard(y0) = E with brentq: equal bit for bit
+        def hold(y0, target):
+            base = float(cumulative_hazard(mixed_spec, 0, y0))
+
+            def gap(h):
+                return float(cumulative_hazard(mixed_spec, 0, y0 + h)) - base - target
+
+            hi = 1.0
+            while gap(hi) < 0.0:
+                hi *= 2.0
+            return brentq(gap, 0.0, hi, xtol=INVERSION_TOL, maxiter=INVERSION_MAX_ITER)
+
+        for y0 in (0.0, 0.3, 2.0):
+            rng, oracle = np.random.default_rng(41), np.random.default_rng(41)
+            for _ in range(200):
+                got = sample_transition(mixed_spec, 0, y0, rng)
+                h = hold(y0, float(oracle.exponential()))
+                nxt = int(oracle.choice(3, p=embedded_probs(mixed_spec, 0, y0 + h)))
+                assert got == (h, nxt)
 
 
 class TestRegimePath:

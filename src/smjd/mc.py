@@ -134,15 +134,52 @@ def _tilt_bound(model: MarketModel, t0: float, t1: float, i: int) -> float:
     return float(model.jump_tilt(ts, i).max())
 
 
+@dataclass(frozen=True)
+class _QJumpLaw:
+    """Constants of one ``price_mc_q`` call: the mark CDF, ``eta`` and
+    ``log(1 + eta)`` on the nodes, and each regime's measure-change ratio
+    and tilt bound.  ``ratio`` and ``bound`` are ``None`` under tabulated
+    volatility, where they depend on time; ``bound`` is also ``None``
+    without jumps, where nothing is thinned.  Each entry comes from the
+    same expression as the per-path value it replaces, so paths are
+    unchanged bit for bit."""
+
+    cdf: np.ndarray | None
+    eta: list[float]
+    log_jump: list[float]
+    ratio: list[float] | None
+    bound: list[float] | None
+
+
+def _q_jump_law(model: MarketModel) -> _QJumpLaw:
+    mass = model.ints.mass
+    eta = model.jump.eta_vals.tolist()
+    constant = model.sigma_values is not None
+    states = range(model.n_states)
+    return _QJumpLaw(
+        cdf=np.cumsum(model.jump.w) / mass if mass > 0 else None,
+        eta=eta,
+        log_jump=[math.log1p(e) for e in eta],
+        ratio=[float(model.j_ratio(0.0, i)) for i in states] if constant else None,
+        bound=[_tilt_bound(model, 0.0, model.horizon, i) for i in states]
+        if constant and mass > 0
+        else None,
+    )
+
+
 def _terminal_under_q(
-    model: MarketModel, s0: float, x0: int, y0: float, rng: np.random.Generator
+    model: MarketModel,
+    s0: float,
+    x0: int,
+    y0: float,
+    rng: np.random.Generator,
+    law: _QJumpLaw,
 ) -> tuple[float, float]:
     """Terminal spot and integrated short rate of one pricing-measure path."""
     T = model.horizon
     regime = simulate_regime_path(model.rates, x0, y0, T, rng)
-    eta = model.jump.eta_vals
     mass = model.ints.mass
-    cdf = np.cumsum(model.jump.w) / mass if mass > 0 else None
+    cdf = law.cdf
     log_s = math.log(s0)
     int_r = 0.0
     for t0, t1, i, _ in regime.segments():
@@ -151,8 +188,9 @@ def _terminal_under_q(
             continue
         int_r += float(model.r[i]) * dt
         var = model.sigma_sq_integral(t0, t1, i)
-        if model.sigma_values is not None:
-            shift = float(model.j_ratio(t0, i)) * var
+        if law.ratio is not None:
+            ratio = law.ratio[i]
+            shift = ratio * var
         else:
             shift = model.time_integral(
                 lambda u: model.j_ratio(u, i) * np.asarray(model.sigma(u, i)) ** 2,
@@ -168,7 +206,7 @@ def _terminal_under_q(
         if mass == 0.0:
             continue
         # dominate the tilted intensity, then thin against the tilt factor
-        bound = _tilt_bound(model, t0, t1, i)
+        bound = law.bound[i] if law.bound is not None else _tilt_bound(model, t0, t1, i)
         rate = mass * bound
         t = t0
         while True:
@@ -176,13 +214,16 @@ def _terminal_under_q(
             if t >= t1:
                 break
             k = min(int(np.searchsorted(cdf, rng.random())), cdf.size - 1)
-            gamma = float(model.jump_tilt(t, i)[k])
+            if law.ratio is not None:
+                gamma = 1.0 + ratio * law.eta[k]
+            else:
+                gamma = float(model.jump_tilt(t, i)[k])
             if gamma < 0.0:
                 raise ValueError(
                     f"nonpositive jump tilt at t={t:.6g}: measure change inadmissible"
                 )
             if rng.random() * bound < gamma:
-                log_s += math.log1p(float(eta[k]))
+                log_s += law.log_jump[k]
     return math.exp(log_s), int_r
 
 
@@ -222,9 +263,10 @@ def price_mc_q(
         raise ValueError("spot must start positive")
     _require_sample(n_paths, level)
     _require_admissible(model)
+    law = _q_jump_law(model)
     vals = np.empty(n_paths)
     for p, rng in enumerate(_child_rngs(seed, n_paths)):
-        s_term, int_r = _terminal_under_q(model, s0, x0, y0, rng)
+        s_term, int_r = _terminal_under_q(model, s0, x0, y0, rng, law)
         vals[p] = math.exp(-int_r) * float(payoff(s_term))
     return _estimate(vals, seed, level)
 

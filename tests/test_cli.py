@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smjd import pricing
+from test_market import loop_simulate_asset_path
+
+from smjd import cli, pricing
 from smjd.cli import main
 
 
@@ -179,6 +181,34 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
         for name in ["path_0000.csv", "path_0002.csv", "simulate.json"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("model", ["markov", "weibull", "sigma-table", "mixed-family"])
+    def test_paths_equal_the_event_loop(self, model, write_config, tmp_path, monkeypatch):
+        # mixed-family: regime 0 of the Weibull model gets a constant exit
+        # too, so its holding times are drawn by brentq
+        cfg = weibull_config() if model in ("weibull", "mixed-family") else base_config()
+        if model == "sigma-table":
+            cfg["model"]["sigma"] = {
+                "kind": "table",
+                "t": [0.0, 0.2, 0.5],
+                "values": [[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]],
+            }
+        if model == "mixed-family":
+            cfg["model"]["regimes"]["rates"].append(
+                {"from": 0, "to": 2, "family": "constant", "params": {"rate": 0.7}}
+            )
+            cfg["x0"] = 0
+        cfg["simulate"] = {"n_paths": 6, "n_record": 20}
+        config = write_config(cfg)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(config), "--out", str(out_a)]) == 0
+        monkeypatch.setattr(cli, "simulate_asset_path", loop_simulate_asset_path)
+        assert main(["simulate", "--config", str(config), "--out", str(out_b)]) == 0
+        names = sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in out_b.iterdir() if p.name != "manifest.json")
+        assert "path_0005.csv" in names and "simulate.json" in names
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_seed_override_changes_paths(self, write_config, tmp_path):
         cfg = write_config(base_config())

@@ -17,25 +17,29 @@ whose product with eta at z = 1 falls below -1.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smjd import market
 from smjd.market import (
     EtaClamp,
     EtaTable,
     JumpSpec,
     MarketModel,
+    PathRecord,
     check_no_arbitrage,
     jump_integrals,
     market_model_from_dict,
     radon_nikodym_path,
     simulate_asset_path,
 )
-from smjd.regimes import rate_spec_from_dict
+from smjd.regimes import RegimePath, rate_spec_from_dict, simulate_regime_path
 
 INT_ETA = 0.375
 INT_ETA2 = 0.375
@@ -306,6 +310,268 @@ class TestAssetPath:
             ):
                 fh.write(f"{t:.17g},{s:.17g},{int(x)},{y:.17g},{ev},{z:.17g}\n")
         assert new.read_bytes() == old.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Array simulator against the per-event loop
+# ---------------------------------------------------------------------------
+
+
+def loop_simulate_asset_path(
+    model: MarketModel,
+    s0: float,
+    x0: int,
+    y0: float,
+    rng: np.random.Generator,
+    record_times=None,
+) -> PathRecord:
+    """The per-event loop the array simulator replaced: the oracle of its
+    draws and of every field of the record, bit for bit."""
+    if s0 <= 0:
+        raise ValueError("spot must start positive")
+    T = model.horizon
+    regime = simulate_regime_path(model.rates, x0, y0, T, rng)
+
+    mass = model.ints.mass
+    jump_times: list[float] = []
+    if mass > 0:
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / mass)
+            if t >= T:
+                break
+            jump_times.append(t)
+    n_jumps = len(jump_times)
+    if n_jumps:
+        cdf = np.cumsum(model.jump.w) / mass
+        idx = np.minimum(np.searchsorted(cdf, rng.random(n_jumps)), cdf.size - 1)
+        jump_z = model.jump.z[idx]
+    else:
+        jump_z = np.empty(0)
+
+    # merged event timeline
+    kinds: dict[float, list] = {}
+    for tt in regime.times:
+        kinds.setdefault(float(tt), []).append(("regime", math.nan))
+    for tt, zz in zip(jump_times, jump_z):
+        kinds.setdefault(float(tt), []).append(("jump", float(zz)))
+    if record_times is not None:
+        for tt in np.asarray(record_times, dtype=float):
+            if 0.0 < tt < T:
+                kinds.setdefault(float(tt), []).append(("grid", math.nan))
+    kinds.setdefault(T, []).append(("grid", math.nan))
+
+    rows = [(0.0, s0, x0, y0, "grid", math.nan)]
+    seg_t0, seg_t1, seg_state, seg_dw, seg_dlns = [], [], [], [], []
+    jump_state = []
+    s = s0
+    t_prev = 0.0
+    int_r = 0.0
+    for t_k in sorted(kinds):
+        state = regime.state_at(t_prev)
+        dt = t_k - t_prev
+        if dt > 0:
+            var = model.sigma_sq_integral(t_prev, t_k, state)
+            xi = rng.standard_normal()
+            dln = (model.mu[state] - 0.0) * dt - 0.5 * var + math.sqrt(var) * xi
+            s *= math.exp(dln)
+            int_r += model.r[state] * dt
+            seg_t0.append(t_prev)
+            seg_t1.append(t_k)
+            seg_state.append(state)
+            seg_dw.append(xi * math.sqrt(dt))
+            seg_dlns.append(dln)
+        for kind, zz in sorted(kinds[t_k], key=lambda p: {"regime": 0, "jump": 1, "grid": 2}[p[0]]):
+            if kind == "jump":
+                s *= 1.0 + float(model.jump.eta_at(zz))
+                jump_state.append(regime.state_at(t_k))
+            rows.append(
+                (t_k, s, regime.state_at(t_k), regime.age_at(t_k), kind, zz)
+            )
+        t_prev = t_k
+
+    times = np.array([r[0] for r in rows])
+    return PathRecord(
+        s0=s0,
+        x0=x0,
+        y0=y0,
+        horizon=T,
+        times=times,
+        spot=np.array([r[1] for r in rows]),
+        regime=np.array([r[2] for r in rows], dtype=int),
+        age=np.array([r[3] for r in rows]),
+        events=np.array([r[4] for r in rows], dtype=object),
+        z_marks=np.array([r[5] for r in rows]),
+        seg_t0=np.asarray(seg_t0),
+        seg_t1=np.asarray(seg_t1),
+        seg_state=np.asarray(seg_state, dtype=int),
+        seg_dw=np.asarray(seg_dw),
+        seg_dlns=np.asarray(seg_dlns),
+        jump_t=np.asarray(jump_times),
+        jump_state=np.asarray(jump_state, dtype=int),
+        jump_z=np.asarray(jump_z),
+        int_r=int_r,
+    )
+
+
+def assert_same_path(got: PathRecord, want: PathRecord) -> None:
+    """Every field equal bit for bit, with the same dtype."""
+    for field in dataclasses.fields(PathRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "events":
+            assert a.dtype == b.dtype == object
+            assert a.tolist() == b.tolist()
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b), field.name
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+
+
+def weibull_model() -> MarketModel:
+    rates = rate_spec_from_dict(
+        {
+            "states": 3,
+            "rates": [
+                {"from": i, "to": (i + 1) % 3, "family": "weibull",
+                 "params": {"scale": scale, "shape": 1.5}}
+                for i, scale in enumerate((1.2, 0.9, 1.5))
+            ],
+        }
+    )
+    return MarketModel(
+        rates=rates,
+        r=np.array([0.05, 0.03, 0.04]),
+        mu=np.array([0.08, 0.02, 0.05]),
+        sigma_values=np.array([0.2, 0.3, 0.25]),
+        jump=make_jump(),
+        horizon=1.0,
+    )
+
+
+def sigma_table_model() -> MarketModel:
+    model = two_regime_model()
+    return MarketModel(
+        rates=model.rates,
+        r=model.r,
+        mu=model.mu,
+        sigma_table=(np.array([0.0, 0.4, 1.0]), np.array([[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]])),
+        jump=model.jump,
+        horizon=1.0,
+    )
+
+
+def mixed_family_model() -> MarketModel:
+    # state 0 mixes a constant and a Weibull exit: holding times by brentq
+    rates = rate_spec_from_dict(
+        {
+            "states": 3,
+            "rates": [
+                {"from": 0, "to": 1, "family": "constant", "params": {"rate": 0.7}},
+                {"from": 0, "to": 2, "family": "weibull", "params": {"scale": 0.5, "shape": 2.0}},
+                {"from": 1, "to": 0, "family": "constant", "params": {"rate": 1.0}},
+                {"from": 2, "to": 0, "family": "constant", "params": {"rate": 1.0}},
+            ],
+        }
+    )
+    return MarketModel(
+        rates=rates,
+        r=np.array([0.05, 0.02, 0.04]),
+        mu=np.array([0.08, 0.05, 0.03]),
+        sigma_values=np.array([0.2, 0.3, 0.15]),
+        jump=make_jump(),
+        horizon=1.0,
+    )
+
+
+def jump_free_model() -> MarketModel:
+    model = two_regime_model()
+    return MarketModel(
+        rates=model.rates,
+        r=model.r,
+        mu=model.mu,
+        sigma_values=model.sigma_values,
+        jump=JumpSpec(z=np.array([]), w=np.array([]), eta=EtaClamp(1.0, -0.5, 1.0)),
+        horizon=1.0,
+    )
+
+
+PATH_MODELS = {
+    "markov": two_regime_model,
+    "weibull": weibull_model,
+    "sigma-table": sigma_table_model,
+    "mixed-family": mixed_family_model,
+    "jump-free": jump_free_model,
+}
+
+RECORD_TIMES = {
+    "none": None,
+    "linspace": np.linspace(0.0, 1.0, 26),
+    "duplicates": np.array([0.25, 0.5, 0.5, 0.75, 0.25, 0.5]),
+    "ends": np.array([0.0, 0.0, 0.5, 1.0, 1.0]),
+    "outside": np.array([-0.5, 0.3, 1.5, 0.6]),
+}
+
+
+class TestArraySimulatorOracle:
+    """The array simulator against the per-event loop it replaced."""
+
+    @pytest.mark.parametrize("record", list(RECORD_TIMES))
+    @pytest.mark.parametrize("name", list(PATH_MODELS))
+    def test_every_field_equals_the_loop(self, name, record):
+        model = PATH_MODELS[name]()
+        times = RECORD_TIMES[record]
+        for seed in range(40):
+            x0 = seed % model.n_states
+            y0 = 0.1 * (seed % 3)
+            args = (model, 100.0, x0, y0)
+            got = simulate_asset_path(*args, np.random.default_rng(seed), times)
+            want = loop_simulate_asset_path(*args, np.random.default_rng(seed), times)
+            assert_same_path(got, want)
+
+    @pytest.mark.parametrize("name", ["markov", "weibull", "sigma-table", "mixed-family"])
+    def test_recording_at_a_drawn_epoch_equals_the_loop(self, name):
+        # jumps and switches are drawn before any normal, so a path's own
+        # epochs reappear when they are requested as recording times
+        model = PATH_MODELS[name]()
+        seen = {"jump": 0, "regime": 0}
+        for seed in range(40):
+            first = simulate_asset_path(model, 100.0, 0, 0.0, np.random.default_rng(seed))
+            epochs = first.times[first.events != "grid"]
+            if epochs.size == 0:
+                continue
+            times = np.concatenate((epochs, [0.5, epochs[0]]))
+            args = (model, 100.0, 0, 0.0)
+            got = simulate_asset_path(*args, np.random.default_rng(seed), times)
+            want = loop_simulate_asset_path(*args, np.random.default_rng(seed), times)
+            assert_same_path(got, want)
+            shared = got.times[got.events == "grid"]
+            for kind in seen:
+                seen[kind] += np.isin(got.times[got.events == kind], shared).sum()
+        assert seen["jump"] > 0 and seen["regime"] > 0
+
+    @pytest.mark.parametrize("y0", [0.0, -0.0, 0.3])
+    def test_switch_at_time_zero_equals_the_loop(self, y0, monkeypatch):
+        # a zero holding time puts a switch on the initial row's time; the
+        # initial row still records (x0, y0) as given
+        def regime_path(spec, x0, y0, horizon, rng):
+            return RegimePath(x0, y0, horizon, np.array([0.0, 0.4]), np.array([1, 0]))
+
+        monkeypatch.setattr(market, "simulate_regime_path", regime_path)
+        monkeypatch.setattr(sys.modules[__name__], "simulate_regime_path", regime_path)
+        model = two_regime_model()
+        args = (model, 100.0, 0, y0)
+        got = simulate_asset_path(*args, np.random.default_rng(3), [0.0, 0.4, 0.7])
+        want = loop_simulate_asset_path(*args, np.random.default_rng(3), [0.0, 0.4, 0.7])
+        assert_same_path(got, want)
+        assert got.regime[:2].tolist() == [0, 1] and got.seg_state[0] == 1
+
+    def test_rejects_what_the_loop_rejects(self):
+        model = two_regime_model()
+        for args in ((0.0, 0, 0.0), (100.0, 2, 0.0), (100.0, 0, -1.0)):
+            with pytest.raises(ValueError):
+                simulate_asset_path(model, *args, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

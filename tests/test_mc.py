@@ -7,15 +7,27 @@ estimators carry their own standard errors, so the oracles here are
 closed forms or cross-estimates within three standard errors.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
+from test_market import loop_simulate_asset_path, sigma_table_model, weibull_model
 
+from smjd import mc
 from smjd.market import EtaClamp, JumpSpec, MarketModel
-from smjd.mc import McEstimate, backtest_hedge, price_mc_p_weighted, price_mc_q
+from smjd.mc import (
+    McEstimate,
+    _child_rngs,
+    _estimate,
+    _tilt_bound,
+    backtest_hedge,
+    price_mc_p_weighted,
+    price_mc_q,
+)
 from smjd.payoffs import Payoff
 from smjd.pricing import build_grid, solve_price
-from smjd.regimes import ConstantRate, RateSpec
+from smjd.regimes import ConstantRate, RateSpec, simulate_regime_path
 
 BS_CALL_ATM = 10.450583572185565
 
@@ -181,3 +193,102 @@ class TestBacktest:
         assert d["n_paths"] == 50
         assert d["n_rebalance"] == 10
         assert np.isfinite(d["variance_ratio"])
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the per-event simulator and the per-path q constants
+# ---------------------------------------------------------------------------
+
+
+def loop_terminal_under_q(
+    model: MarketModel, s0: float, x0: int, y0: float, rng: np.random.Generator
+) -> tuple[float, float]:
+    """The pricing-measure path before its per-call constants were hoisted:
+    the oracle of ``price_mc_q``, bit for bit."""
+    T = model.horizon
+    regime = simulate_regime_path(model.rates, x0, y0, T, rng)
+    eta = model.jump.eta_vals
+    mass = model.ints.mass
+    cdf = np.cumsum(model.jump.w) / mass if mass > 0 else None
+    log_s = math.log(s0)
+    int_r = 0.0
+    for t0, t1, i, _ in regime.segments():
+        dt = t1 - t0
+        if dt <= 0:
+            continue
+        int_r += float(model.r[i]) * dt
+        var = model.sigma_sq_integral(t0, t1, i)
+        if model.sigma_values is not None:
+            shift = float(model.j_ratio(t0, i)) * var
+        else:
+            shift = model.time_integral(
+                lambda u: model.j_ratio(u, i) * np.asarray(model.sigma(u, i)) ** 2,
+                t0,
+                t1,
+            )
+        log_s += (
+            float(model.mu[i]) * dt
+            + shift
+            - 0.5 * var
+            + math.sqrt(var) * rng.standard_normal()
+        )
+        if mass == 0.0:
+            continue
+        # dominate the tilted intensity, then thin against the tilt factor
+        bound = _tilt_bound(model, t0, t1, i)
+        rate = mass * bound
+        t = t0
+        while True:
+            t += rng.exponential(1.0 / rate)
+            if t >= t1:
+                break
+            k = min(int(np.searchsorted(cdf, rng.random())), cdf.size - 1)
+            gamma = float(model.jump_tilt(t, i)[k])
+            if gamma < 0.0:
+                raise ValueError(
+                    f"nonpositive jump tilt at t={t:.6g}: measure change inadmissible"
+                )
+            if rng.random() * bound < gamma:
+                log_s += math.log1p(float(eta[k]))
+    return math.exp(log_s), int_r
+
+
+MC_MODELS = {
+    "markov": benchmark_model,
+    "weibull": weibull_model,
+    "sigma-table": sigma_table_model,
+    "jump-free": bs_model,
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name", list(MC_MODELS))
+    def test_mc_q_equals_the_unhoisted_loop(self, name):
+        model = MC_MODELS[name]()
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        est = price_mc_q(model, payoff, 100.0, 0, 0.0, n_paths=300, seed=11)
+        vals = np.empty(300)
+        for p, rng in enumerate(_child_rngs(11, 300)):
+            s_term, int_r = loop_terminal_under_q(model, 100.0, 0, 0.0, rng)
+            vals[p] = math.exp(-int_r) * float(payoff(s_term))
+        assert est == _estimate(vals, 11, 0.99)
+
+    @pytest.mark.parametrize("name", list(MC_MODELS))
+    def test_mc_p_equals_the_event_loop(self, name, monkeypatch):
+        model = MC_MODELS[name]()
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        args = (model, payoff, 100.0, 0, 0.0, 300, 13)
+        est = price_mc_p_weighted(*args)
+        monkeypatch.setattr(mc, "simulate_asset_path", loop_simulate_asset_path)
+        assert est == price_mc_p_weighted(*args)
+
+    @pytest.mark.parametrize("name, n_age", [("markov", 0), ("weibull", 6)])
+    def test_backtest_equals_the_event_loop(self, name, n_age, monkeypatch):
+        model = MC_MODELS[name]()
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        grid = build_grid(model, s_ref=100.0, n_time=6, n_space=101, n_age=n_age)
+        surface = solve_price(model, payoff, grid)
+        args = (model, surface, payoff, 100.0, 1, 0.2, 40, 25, 17)
+        report = backtest_hedge(*args)
+        monkeypatch.setattr(mc, "simulate_asset_path", loop_simulate_asset_path)
+        assert report.to_dict() == backtest_hedge(*args).to_dict()

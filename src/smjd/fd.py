@@ -55,12 +55,9 @@ def explicit_gain(model: MarketModel, grid: SurfaceGrid) -> float:
     ints = model.ints
     jump_norm = 0.0
     if model.jump.z.size:
-        ts = np.linspace(0.0, model.horizon, 33)
-        for i in range(model.n_states):
-            sup_gamma = float(np.abs(model.jump_tilt(ts, i)).max())
-            jump_norm = max(
-                jump_norm, sup_gamma * (2.0 * ints.mass + max(ints.int_eta, 0.0))
-            )
+        ts = model.tilt_times(0.0, model.horizon)
+        sup_gamma = max(np.abs(model.jump_tilt(ts, i)).max() for i in range(model.n_states))
+        jump_norm = float(sup_gamma) * (2.0 * ints.mass + max(ints.int_eta, 0.0))
     return max_rate + jump_norm + float(np.abs(model.r).max())
 
 

@@ -49,8 +49,6 @@ __all__ = [
 DEFAULT_JUMP_NODES = 201
 #: Simpson node count for time integrals of tabulated volatility
 DEFAULT_TIME_NODES = 33
-#: uniform scan points of the admissibility check under tabulated volatility
-NO_ARBITRAGE_TIME_NODES = 101
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +154,11 @@ class JumpSpec:
         self.eta_vals = eta.value(z) if z.size else np.empty(0)
         if self.eta_vals.size and np.any(self.eta_vals <= -1.0):
             raise ValueError("jump sizes must stay above -1 on the nodes")
+        mass = float(np.sum(w))
+        #: mark CDF, read against one uniform per mark; None without mass
+        self.cdf = np.cumsum(w) / mass if mass > 0 else None
+        #: log spot gain ``log(1 + eta)`` of a jump at each node
+        self.log_gain = [math.log1p(e) for e in self.eta_vals.tolist()]
 
     @classmethod
     def from_density(cls, density, interval, n, eta) -> "JumpSpec":
@@ -171,12 +174,6 @@ class JumpSpec:
 
     def eta_at(self, z):
         return self.eta.value(z)
-
-    def eta_bounds(self) -> tuple[float, float]:
-        """Smallest and largest jump size over the nodes."""
-        if self.eta_vals.size == 0:
-            return 0.0, 0.0
-        return float(self.eta_vals.min()), float(self.eta_vals.max())
 
 
 def jump_spec_from_dict(d: dict) -> JumpSpec:
@@ -344,6 +341,15 @@ class MarketModel:
         stays positive."""
         return 1.0 + np.multiply.outer(self.j_ratio(t, i), self.jump.eta_vals)
 
+    def tilt_times(self, t0: float, t1: float) -> np.ndarray:
+        """Sorted times where the jump tilt over ``[t0, t1]`` takes its
+        extremes: ``[t0]`` under constant volatility, else ``t0``, the knots
+        strictly inside and ``t1`` (``Gamma`` is monotone in ``sigma^2``)."""
+        if self.sigma_values is not None:
+            return np.array([t0])
+        knots = self.sigma_table[0]
+        return np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+
 
 def market_model_from_dict(d: dict) -> MarketModel:
     """Build a :class:`MarketModel` from its dict form."""
@@ -394,21 +400,12 @@ class NoArbitrageReport:
 
 
 def check_no_arbitrage(model: MarketModel) -> NoArbitrageReport:
-    """Check the positivity of the tilted jump intensity everywhere.
-
-    With constant volatility a single time point suffices; tabulated
-    volatility is scanned on a uniform grid joined with its knots (the
-    ratio is monotone in sigma, so knots and endpoints are the candidate
-    extrema of the piecewise-linear table).
+    """Check the positivity of the tilted jump intensity over ``[0, T]``,
+    at the times where it takes its extremes (``MarketModel.tilt_times``).
     """
     if model.jump.z.size == 0:
         return NoArbitrageReport(True, math.inf, None, None, None)
-    if model.sigma_values is not None:
-        t_grid = np.array([0.0])
-    else:
-        t_grid = np.union1d(
-            np.linspace(0.0, model.horizon, NO_ARBITRAGE_TIME_NODES), model.sigma_table[0]
-        )
+    t_grid = model.tilt_times(0.0, model.horizon)
     worst = math.inf
     witness = (None, None, None)
     for i in range(model.n_states):
@@ -526,7 +523,7 @@ def simulate_asset_path(
             jump_times.append(t)
     n_jumps = len(jump_times)
     if n_jumps:
-        cdf = np.cumsum(model.jump.w) / mass
+        cdf = model.jump.cdf
         idx = np.minimum(np.searchsorted(cdf, rng.random(n_jumps)), cdf.size - 1)
         jump_z = model.jump.z[idx]
         jump_gain = 1.0 + model.jump.eta_at(jump_z)

@@ -113,9 +113,9 @@ def build_grid(
         raise ValueError("grid width must be positive")
     horizon = model.horizon
     half = width * model.sigma_sup() * math.sqrt(horizon)
-    lo, hi = model.jump.eta_bounds()
-    lo_span = half + max(0.0, -math.log1p(lo))
-    hi_span = half + max(0.0, math.log1p(hi))
+    gains = model.jump.log_gain
+    lo_span = half + max(0.0, -min(gains, default=0.0))
+    hi_span = half + max(0.0, max(gains, default=0.0))
     du = (lo_span + hi_span) / (n_space - 2)
     n_lo = int(math.ceil(lo_span / du - 1e-12))
     log_s = math.log(s_ref) + (np.arange(n_space) - n_lo) * du
@@ -323,7 +323,7 @@ def _jump_operators(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray)
     weights = weights or (jump.w, jump.w * jump.eta_vals)
     u = grid.log_s
     n = u.size
-    shifts = np.array([math.log1p(em) for em in jump.eta_vals])
+    shifts = np.array(jump.log_gain)
     pos = shifts / (u[1] - u[0])
     lo = np.floor(pos).astype(int)
     frac = pos - lo

@@ -182,6 +182,12 @@ class RateSpec:
             sorted((j, fn) for (i, j), fn in self.rates.items() if i == s)
             for s in range(self.n_states)
         ]
+        #: no exit rate depends on the age
+        self.age_free = all(map(_age_free, self.rates.values()))
+        # each state's switch law, built once: the hazard inverse where it
+        # has a closed form, the next-state CDF where it is age-free
+        self._inverses = [_closed_form_inverse(exits) for exits in self._exits]
+        self._switch_cdfs = [_fixed_switch_cdf(self, s) for s in range(self.n_states)]
 
     def exits(self, i: int) -> list:
         """Exit list ``[(j, rate_fn), ...]`` of state ``i``."""
@@ -253,7 +259,7 @@ def embedded_probs(spec: RateSpec, i: int, y: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the total exit rate vanishes at ``y``.
+        If the total exit rate vanishes at ``y``, or a rate is negative there.
     """
     exits = spec.exits(i)
     p = np.zeros(spec.n_states)
@@ -264,7 +270,10 @@ def embedded_probs(spec: RateSpec, i: int, y: float) -> np.ndarray:
         total += v
     if total <= 0.0:
         raise ValueError(f"state {i} has zero total exit rate at age {y}")
-    return p / total
+    p /= total
+    if not p.min() >= 0.0:
+        raise ValueError(f"state {i} has a negative or undefined exit rate at age {y}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +374,53 @@ def validate_rates(spec: RateSpec, y_max: float) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _age_free(fn) -> bool:
+    return fn.family == "constant" or (fn.family == "weibull" and fn.shape == 1.0)
+
+
+def _closed_form_inverse(exits: list):
+    """Hazard inverse ``(y0, target) -> h`` of an exit list whose total
+    hazard has one: all constant, or power laws of one shape; else None."""
+    families = {fn.family for _, fn in exits}
+    if families == {"constant"}:
+        total = sum(fn.rate for _, fn in exits)
+        return lambda y0, target: target / total if total > 0.0 else math.inf
+    if families == {"weibull"}:
+        shapes = {fn.shape for _, fn in exits}
+        if len(shapes) == 1:
+            shape = shapes.pop()
+            scale = sum(fn.scale for _, fn in exits)
+            return lambda y0, target: (y0**shape + target / scale) ** (1.0 / shape) - y0
+    return None
+
+
+def _switch_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` reads its one uniform against."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _fixed_switch_cdf(spec: RateSpec, i: int):
+    """Next-state CDF of state ``i`` where it does not depend on the age:
+    one exit, or age-free exits of positive rate; else None."""
+    exits = spec.exits(i)
+    if len(exits) == 1:
+        return _switch_cdf(np.eye(spec.n_states)[exits[0][0]])
+    if exits and all(_age_free(fn) and fn.value(0.0) > 0.0 for _, fn in exits):
+        return _switch_cdf(embedded_probs(spec, i, 0.0))
+    return None
+
+
 def _invert_hazard(spec: RateSpec, i: int, y0: float, target: float) -> float:
     """Solve hazard(y0 + h) - hazard(y0) = target for the holding time h.
 
     A hazard that stays below ``target`` (a zero rate, or a table whose
     rate ends at zero) gives ``inf``: the state is never left, which is
     exact in law for every horizon below the bracketing cap of 1e12."""
-    exits = spec.exits(i)
-    families = {fn.family for _, fn in exits}
-    if families == {"constant"}:
-        total = sum(fn.rate for _, fn in exits)
-        return target / total if total > 0.0 else math.inf
-    if families == {"weibull"}:
-        shapes = {fn.shape for _, fn in exits}
-        if len(shapes) == 1:
-            shape = shapes.pop()
-            scale = sum(fn.scale for _, fn in exits)
-            return (y0**shape + target / scale) ** (1.0 / shape) - y0
+    inverse = spec._inverses[i]
+    if inverse is not None:
+        return inverse(y0, target)
 
     from scipy.optimize import brentq  # imported here: only mixed families need it
 
@@ -405,7 +444,9 @@ def sample_transition(spec: RateSpec, i: int, y0: float, rng: np.random.Generato
     cumulative hazard increment is inverted, in closed form for all-constant
     or equal-shape power-law exits and by bracketed root finding otherwise.
     A hazard that never reaches the drawn level gives ``(inf, i)`` without
-    drawing a next state.
+    drawing a next state.  Otherwise one uniform is read against the
+    state's switch CDF (built once where it has no age), as
+    ``Generator.choice(n_states, p=p)`` reads it.
 
     Returns
     -------
@@ -418,9 +459,10 @@ def sample_transition(spec: RateSpec, i: int, y0: float, rng: np.random.Generato
     hold = _invert_hazard(spec, i, y0, target)
     if math.isinf(hold):
         return hold, i
-    p = embedded_probs(spec, i, y0 + hold)
-    nxt = int(rng.choice(spec.n_states, p=p))
-    return hold, nxt
+    cdf = spec._switch_cdfs[i]
+    if cdf is None:
+        cdf = _switch_cdf(embedded_probs(spec, i, y0 + hold))
+    return hold, int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass

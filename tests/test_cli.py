@@ -492,6 +492,26 @@ class TestXval:
         code = main(["price", "--config", str(write_config(cfg)), "--out", str(tmp_path / "fd")])
         assert code == 2
 
+    def test_fd_steps_cover_the_tilt_at_interior_sigma_knots(self, write_config, tmp_path):
+        # the tilt peaks where sigma dips to 0.1 on [0.5, 0.53]: fd needs
+        # ceil(7.27 / 0.5) = 15 steps
+        model = {
+            "regimes": {"states": 1, "rates": []},
+            "r": [0.05],
+            "mu": [-1.0],
+            "sigma": {"kind": "table", "t": [0.0, 0.5, 0.515, 0.53, 1.0],
+                      "values": [[1.2, 1.2, 0.1, 1.2, 1.2]]},
+            "jump": {"eta": {"kind": "clamp", "slope": 1.0, "lo": -0.5, "hi": 1.0},
+                     "nodes": [[-0.4, 1.0], [0.8, 1.0]]},
+            "T": 1.0,
+        }
+        cfg = base_config(model=model, grid={"n_time": 11, "n_space": 101, "n_age": 0},
+                          xval={"tolerance": 0.1, "mc_paths": 200})
+        out = tmp_path / "out"
+        main(["xval", "--config", str(write_config(cfg)), "--out", str(out)])
+        rep = json.loads((out / "xval.json").read_text())
+        assert rep["fd_grid"]["n_time"] >= 15
+
     def test_fd_refinement_beyond_the_limit_exits_two_before_solve(
         self, write_config, tmp_path, capsys, monkeypatch
     ):

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from smjd.fd import solve_price_fd
+from smjd.fd import explicit_gain, solve_price_fd
 from smjd.market import EtaClamp, JumpSpec, MarketModel
 from smjd.payoffs import Payoff
 from smjd.pricing import (
@@ -148,6 +148,20 @@ class TestSchemeInvariants:
             horizon=1.0, sigma_values=[0.2, 0.3],
         )
         grid = build_grid(m, s_ref=100.0, n_time=10, n_space=101, n_age=10)
+        with pytest.raises(GridResolutionError):
+            solve_price_fd(m, Payoff(kind="call", strikes=(100.0,)), grid)
+
+    def test_stability_guard_reads_the_tilt_at_interior_sigma_knots(self):
+        # sigma dips to 0.1 between the 33 uniform times t = k / 32: the
+        # gain is 7.27 at the dip, so 11 steps give dt * gain = 0.661
+        m = MarketModel(
+            rates=RateSpec(n_states=1, rates={}), r=[0.05], mu=[-1.0],
+            jump=JumpSpec(z=[-0.4, 0.8], w=[1.0, 1.0], eta=EtaClamp(1.0, -0.5, 1.0)),
+            horizon=1.0,
+            sigma_table=(np.array([0.0, 0.5, 0.515, 0.53, 1.0]), np.array([[1.2, 1.2, 0.1, 1.2, 1.2]])),
+        )
+        grid = build_grid(m, s_ref=100.0, n_time=11, n_space=101, n_age=0)
+        assert explicit_gain(m, grid) == pytest.approx(0.05 + 4.4 * (1.0 + 0.65 / 0.81 * 0.8))
         with pytest.raises(GridResolutionError):
             solve_price_fd(m, Payoff(kind="call", strikes=(100.0,)), grid)
 

@@ -178,6 +178,28 @@ class TestNoArbitrage:
         )
         assert check_no_arbitrage(model).passed
 
+    def test_sigma_knots_past_the_horizon_are_not_checked(self):
+        # sigma falls to 0.1 only at t = 2, past T = 1: the tilt is
+        # positive on [0, T], as for the table cut at T
+        def model(t, values):
+            return MarketModel(
+                rates=rate_spec_from_dict({"states": 1, "rates": []}), r=[0.0], mu=[2.0],
+                jump=JumpSpec(z=[-0.4, 0.8], w=[1.0, 1.0], eta=EtaClamp(1.0, -0.5, 1.0)),
+                horizon=1.0, sigma_table=(np.array(t), np.array([values])),
+            )
+
+        report = check_no_arbitrage(model([0.0, 1.0, 2.0], [1.2, 1.2, 0.1]))
+        assert report == check_no_arbitrage(model([0.0, 1.0], [1.2, 1.2]))
+        assert report.passed
+        assert report.worst_margin == pytest.approx(1.0 - 2.4 / 2.24 * 0.8, abs=1e-12)
+
+    def test_tilt_times_are_the_ends_and_inner_knots(self):
+        m = sigma_table_model()
+        assert m.tilt_times(0.0, 1.0).tolist() == [0.0, 0.4, 1.0]
+        assert m.tilt_times(0.1, 0.4).tolist() == [0.1, 0.4]
+        assert m.tilt_times(0.5, 0.7).tolist() == [0.5, 0.7]
+        assert two_regime_model().tilt_times(0.3, 0.9).tolist() == [0.3]
+
 
 # ---------------------------------------------------------------------------
 # Measure change coefficients

@@ -20,7 +20,6 @@ from smjd.mc import (
     McEstimate,
     _child_rngs,
     _estimate,
-    _tilt_bound,
     backtest_hedge,
     price_mc_p_weighted,
     price_mc_q,
@@ -235,7 +234,7 @@ def loop_terminal_under_q(
         if mass == 0.0:
             continue
         # dominate the tilted intensity, then thin against the tilt factor
-        bound = _tilt_bound(model, t0, t1, i)
+        bound = float(model.jump_tilt(model.tilt_times(t0, t1), i).max())
         rate = mass * bound
         t = t0
         while True:

@@ -404,7 +404,7 @@ class TestJumpOperator:
         rng = np.random.default_rng(7)
         du = g.log_s[1] - g.log_s[0]
         # rows whose shifted queries stay on the grid
-        lo, hi = bench.jump.eta_bounds()
+        lo, hi = bench.jump.eta_vals.min(), bench.jump.eta_vals.max()
         mask = (g.log_s + np.log1p(lo) >= g.log_s[0]) & (g.log_s + np.log1p(hi) <= g.log_s[-1])
         for t in (0.0, 0.7):
             for i in (0, 1):

@@ -23,6 +23,7 @@ from smjd.regimes import (
     RateSpec,
     TableRate,
     WeibullRate,
+    _switch_cdf,
     cumulative_hazard,
     embedded_probs,
     holding_cdf,
@@ -70,6 +71,38 @@ def apply_generator(spec, fn, i, y, step=1e-6):
     for j, rate_fn in spec.exits(i):
         coupling += float(rate_fn.value(y)) * (fn(j, 0.0) - here)
     return deriv + coupling
+
+
+def choice_sample_transition(spec, i, y0, rng):
+    """``sample_transition`` with its switch law worked out on every draw:
+    the family dispatch of the hazard inverse, then ``embedded_probs`` at
+    the switch age and ``rng.choice``.  The oracle of the draws and of the
+    generator stream they consume."""
+    exits = spec.exits(i)
+    families = {fn.family for _, fn in exits}
+    target = float(rng.exponential())
+    if families == {"constant"}:
+        total = sum(fn.rate for _, fn in exits)
+        hold = target / total if total > 0.0 else math.inf
+    elif families == {"weibull"} and len({fn.shape for _, fn in exits}) == 1:
+        shape = exits[0][1].shape
+        scale = sum(fn.scale for _, fn in exits)
+        hold = (y0**shape + target / scale) ** (1.0 / shape) - y0
+    else:
+        base = float(cumulative_hazard(spec, i, y0))
+
+        def gap(h):
+            return float(cumulative_hazard(spec, i, y0 + h)) - base - target
+
+        hi = 1.0
+        while gap(hi) < 0.0:
+            if hi > 1e12:
+                return math.inf, i
+            hi *= 2.0
+        hold = float(brentq(gap, 0.0, hi, xtol=INVERSION_TOL, maxiter=INVERSION_MAX_ITER))
+    if math.isinf(hold):
+        return hold, i
+    return hold, int(rng.choice(spec.n_states, p=embedded_probs(spec, i, y0 + hold)))
 
 
 def table_hazard_integral_oracle():
@@ -426,6 +459,76 @@ class TestSampling:
                 h = hold(y0, float(oracle.exponential()))
                 nxt = int(oracle.choice(3, p=embedded_probs(mixed_spec, 0, y0 + h)))
                 assert got == (h, nxt)
+
+
+def _spec(n_states, rates):
+    return RateSpec(n_states=n_states, rates=rates)
+
+
+#: specs covering each way a switch law is built: constant exits with a
+#: zero entry, power laws of one shape (age-dependent in floating point)
+#: and of shape 1 (age-free), tables, the mixed-family ``brentq`` state,
+#: single exits, and age-dependent multi-exit states
+SWITCH_SPECS = {
+    "constant": lambda: _spec(3, {
+        (0, 1): ConstantRate(1.0), (0, 2): ConstantRate(0.0),
+        (1, 0): ConstantRate(2.0), (1, 2): ConstantRate(0.7),
+        (2, 0): ConstantRate(1.5),
+    }),
+    "weibull": lambda: _spec(3, {
+        (0, 1): WeibullRate(1.2, 1.5), (0, 2): WeibullRate(0.6, 1.5),
+        (1, 0): WeibullRate(0.5, 1.0), (1, 2): WeibullRate(0.9, 1.0),
+        (2, 0): WeibullRate(1.5, 0.7),
+    }),
+    "table": lambda: _spec(3, {
+        (0, 1): TableRate([0.0, 0.5, 2.0], [0.5, 2.0, 1.0]),
+        (0, 2): TableRate([0.0, 1.0], [1.0, 0.0]),
+        (1, 0): TableRate([0.2, 1.0], [1.0, 3.0]),
+        (2, 1): TableRate([0.0, 1.0], [0.0, 2.0]),
+    }),
+    "mixed": lambda: _spec(3, {
+        (0, 1): ConstantRate(0.7), (0, 2): WeibullRate(0.5, 2.0),
+        (1, 0): ConstantRate(1.0), (2, 0): ConstantRate(1.0),
+    }),
+    "age-dependent": lambda: _spec(3, {
+        (0, 1): WeibullRate(1.0, 2.0), (0, 2): ConstantRate(0.5),
+        (1, 0): WeibullRate(0.4, 1.3), (1, 2): TableRate([0.0, 1.0], [0.2, 1.5]),
+        (2, 0): WeibullRate(0.8, 2.5), (2, 1): WeibullRate(0.3, 0.8),
+    }),
+}
+
+
+class TestSwitchDrawOracle:
+    @pytest.mark.parametrize("name", list(SWITCH_SPECS))
+    def test_draws_and_stream_equal_the_choice_oracle(self, name):
+        spec = SWITCH_SPECS[name]()
+        for seed in range(100):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in range(9):
+                i, y0 = n % 3, (0.0, 0.3, 2.0)[n // 3]
+                got = sample_transition(spec, i, y0, rng)
+                assert got == choice_sample_transition(spec, i, y0, oracle), (seed, n)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_cdf_read_equals_choice(self):
+        # the next-state draw on its own: p with zero entries on 2-5 states
+        for seed in range(2000):
+            gen = np.random.default_rng(seed)
+            p = gen.random(int(gen.integers(2, 6))) * (gen.random() < 0.5)
+            p[gen.integers(p.size)] += 1.0
+            p /= p.sum()
+            cdf = _switch_cdf(p)
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                got = int(cdf.searchsorted(rng.random(), side="right"))
+                assert got == int(oracle.choice(p.size, p=p))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_negative_age_free_rate_raises_at_the_draw(self):
+        spec = _spec(3, {(0, 1): ConstantRate(-1.0), (0, 2): ConstantRate(3.0)})
+        for draw in (sample_transition, choice_sample_transition):
+            with pytest.raises(ValueError):
+                draw(spec, 0, 0.0, np.random.default_rng(1))
 
 
 class TestRegimePath:

@@ -3,13 +3,17 @@
 Every artifact is written to a temporary name in its own directory and
 then renamed over the final name with ``os.replace``, so a reader sees
 either the whole new file or none of it; on any failure the temporary
-file is removed.  Tables are formatted with ``%.17g`` (round trip) and
-one ``%`` per block of rows.
+file is removed.  A command writes all its artifacts into a ``staging``
+directory and ``publish``es them together, its manifest last.  Tables are
+formatted with ``%.17g`` (round trip) and one ``%`` per block of rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,33 @@ def write_artifact(path, chunks) -> None:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
+def staging(out: Path):
+    """A new directory inside ``out`` for the artifacts of one command;
+    removed with whatever is left in it when the block ends."""
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def publish(stage: Path, out: Path, names: list[str]) -> None:
+    """Rename the artifacts ``names`` from ``stage`` into ``out`` in order.
+    The last one marks a complete set: an earlier copy of it is removed
+    first, and on a failure the artifacts already renamed in are removed."""
+    (out / names[-1]).unlink(missing_ok=True)
+    done = []
+    try:
+        for name in names:
+            os.replace(stage / name, out / name)
+            done.append(name)
+    except BaseException:
+        for name in done:
+            (out / name).unlink(missing_ok=True)
         raise
 
 

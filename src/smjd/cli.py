@@ -5,9 +5,10 @@ One JSON configuration file drives every subcommand; ``--seed`` and
 is read and checked before any solve or artifact, so a bad value exits
 with one ``smjd:`` line on stderr.  All artifacts are deterministic for
 a fixed seed: floats are written with round-trip precision, JSON keys
-are sorted, and Monte Carlo estimators reduce in path order.  Each
-artifact is written atomically, so a failed command leaves no partial
-file.
+are sorted, and Monte Carlo estimators reduce in path order.  A command
+writes its artifacts into a staging directory inside the output directory
+and renames them in only once all are written, ``manifest.json`` last, so
+a failed command leaves none of its artifacts.
 
 Subcommands
 -----------
@@ -47,13 +48,14 @@ import math
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from ._artifacts import write_artifact
+from ._artifacts import publish, staging, write_artifact
 from ._config import number, section, text
 from .fd import MAX_EXPLICIT_STEP, explicit_gain, solve_price_fd
 from .market import (
@@ -211,7 +213,7 @@ def _cmd_check(cfg: dict, out: Path) -> tuple[int, list[str]]:
         out / "check.json",
         {
             "passed": passed,
-            "rates": rates_report.to_dict(),
+            "rates": asdict(rates_report),
             "no_arbitrage": arb_report.to_dict(),
         },
     )
@@ -255,6 +257,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> tuple[int, list[str]]:
     n_record = number(sim, "n_record", 0, int)
     if n_paths < 1:
         raise ValueError("simulate.n_paths must be positive")
+    if n_record < 0:
+        raise ValueError("simulate.n_record must be nonnegative")
     record = np.linspace(0.0, model.horizon, n_record + 1) if n_record > 0 else None
     admissible = check_no_arbitrage(model).passed
 
@@ -326,7 +330,7 @@ def _cmd_price(cfg: dict, out: Path) -> tuple[int, list[str]]:
         level = number(opts, "level", 0.99)
         pricer = price_mc_q if method == "mc-q" else price_mc_p_weighted
         est = pricer(model, payoff, s0, x0, y0, n_paths=n_paths, seed=seed, level=level)
-        report.update({"price": est.value, "estimate": est.to_dict()})
+        report.update({"price": est.value, "estimate": asdict(est)})
         artifacts = ["price.json"]
     else:
         raise ValueError(f"unknown pricing method {method!r}")
@@ -356,7 +360,7 @@ def _cmd_backtest(cfg: dict, out: Path) -> tuple[int, list[str]]:
         n_rebalance=n_rebalance,
         seed=seed,
     )
-    body = report.to_dict()
+    body = asdict(report)
     body.update({"method": method, "payoff": payoff.to_dict()})
     _write_json(out / "backtest.json", body)
     return EXIT_OK, ["backtest.json"]
@@ -369,6 +373,8 @@ def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
     seed = cfg["seed"]
     opts = section(cfg, "xval", {})
     tolerance = number(opts, "tolerance", 0.01)
+    if tolerance < 0.0:
+        raise ValueError("xval.tolerance must be nonnegative")
     mc_paths = number(opts, "mc_paths", 200000, int)
     level = number(opts, "level", 0.99)
     _require_sample(mc_paths, level)
@@ -412,7 +418,7 @@ def _cmd_xval(cfg: dict, out: Path) -> tuple[int, list[str]]:
             "fd_price": price_fd,
             "rel_gap": rel_gap,
             "tolerance": tolerance,
-            "mc": est.to_dict(),
+            "mc": asdict(est),
             "ie_in_ci": ie_in_ci,
             "fd_in_ci": fd_in_ci,
             "ie_grid": _grid_report(grid),
@@ -471,8 +477,10 @@ def main(argv=None) -> int:
         cfg["seed"] = number(cfg, "seed", 0, int)
         out = Path(args.out) if args.out else Path(text(cfg, "out", "smjd_out"))
         out.mkdir(parents=True, exist_ok=True)
-        code, artifacts = _COMMANDS[args.command](cfg, out)
-        _write_manifest(out, args, cfg_bytes, cfg, artifacts, time.perf_counter() - start)
+        with staging(out) as stage:
+            code, artifacts = _COMMANDS[args.command](cfg, stage)
+            _write_manifest(stage, args, cfg_bytes, cfg, artifacts, time.perf_counter() - start)
+            publish(stage, out, [*artifacts, "manifest.json"])
         if code != EXIT_OK:
             print(f"smjd: {args.command} failed; see {out / artifacts[-1]}", file=sys.stderr)
         return code

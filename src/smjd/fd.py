@@ -15,7 +15,9 @@ One backward step couples three pieces:
   is reproduced to third order per step.
 
 An explicit-gain guard at setup rejects time steps too large for the
-switching intensities and the jump operator norm.
+switching intensities and the jump operator norm.  Everything around the
+step (grid and rate checks, switch rates, jump operators, the layer loop
+and the hedge) is the integral solver's ``_EvolutionEngine``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,8 @@ from .pricing import (
     GridResolutionError,
     PriceSurface,
     SurfaceGrid,
-    _jump_operators,
-    _jump_term,
-    _require_finite_rates,
+    _EvolutionEngine,
     _warn_if_inadmissible,
-    hedge_ratio,
 )
 
 __all__ = ["solve_price_fd", "explicit_gain"]
@@ -98,48 +97,38 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
 
     Raises
     ------
+    ValueError
+        If a switch rate is infinite on the age rows, or the age step is
+        not the time step.
     GridResolutionError
         If ``dt`` times the explicit gain exceeds ``MAX_EXPLICIT_STEP``.
     """
     _warn_if_inadmissible(model)
-    if grid.t.size < 2:
-        raise ValueError("time grid needs at least two nodes")
-    _require_finite_rates(model, grid)
-    dt = grid.dt
+    engine = _EvolutionEngine(model, grid)
+    dt = engine.dt
     gain = explicit_gain(model, grid)
     if dt * gain > MAX_EXPLICIT_STEP:
         raise GridResolutionError(
             f"explicit step dt * gain = {dt * gain:.3f} exceeds "
             f"{MAX_EXPLICIT_STEP}; refine the time grid"
         )
-    k = model.n_states
-    ns, ny1 = grid.log_s.size, grid.y.size
-    n_time = grid.t.size - 1
-    y_next = grid.y + dt
-    exits_next = [
-        [(j, np.asarray(fn.value(y_next), dtype=float)) for j, fn in model.rates.exits(i)]
-        for i in range(k)
-    ]
-    next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
-    jumps = _jump_operators(model, grid) if model.jump.z.size else None
     banded = None
     if model.sigma_values is not None:
-        banded = [_banded_operator(model, grid, i, 0.0, dt) for i in range(k)]
-    vals = np.empty((n_time + 1, k, ns, ny1))
-    vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]
-    for n in range(n_time - 1, -1, -1):
-        t0, t1 = grid.t[n], grid.t[n + 1]
-        old = vals[n + 1]
-        age0 = old[:, :, 0]
-        for i in range(k):
-            shifted = old[i][:, next_row]
+        banded = [_banded_operator(model, grid, i, 0.0, dt) for i in range(model.n_states)]
+    rows = engine.next_row
+
+    def step(later, t0, t1):
+        age0 = later[:, :, 0]
+        out = np.empty_like(later)
+        for i in range(model.n_states):
+            shifted = later[i][:, rows]
             rhs = (1.0 - 0.5 * dt * model.r[i]) * shifted
-            for j, lam in exits_next[i]:
-                rhs = rhs + dt * lam * (age0[j][:, None] - shifted)
-            if jumps is not None:
-                rhs = rhs + dt * _jump_term(model, jumps, t1, i, old[i])[:, next_row]
+            for j, _ in model.rates.exits(i):
+                rhs = rhs + dt * engine.lam_next[i, j] * (age0[j][:, None] - shifted)
+            if engine.jumps is not None:
+                rhs = rhs + dt * engine._jump_term(t1, i, later[i])[:, rows]
             ab = banded[i] if banded is not None else _banded_operator(model, grid, i, t0, dt)
-            vals[n, i] = solve_banded((1, 1), ab, rhs)
-    surface = PriceSurface(grid=grid, values=vals)
-    surface.hedge = hedge_ratio(model, surface, jumps[1] if jumps else None)
-    return surface
+            out[i] = solve_banded((1, 1), ab, rhs)
+        return out
+
+    return engine.solve(payoff, step)

@@ -436,9 +436,8 @@ class PathRecord:
     record the path at ``t = 0``, each regime switch, each jump (after the
     multiplier is applied), each requested recording time, and the horizon.
     Segment arrays carry the continuous pieces between consecutive events:
-    the prevailing regime, the Brownian increment, and the realized
-    log-increment of the diffusive part.  ``int_r`` is the integrated short
-    rate along the path.
+    the prevailing regime and the Brownian increment.  ``int_r`` is the
+    integrated short rate along the path.
     """
 
     s0: float
@@ -455,7 +454,6 @@ class PathRecord:
     seg_t1: np.ndarray
     seg_state: np.ndarray
     seg_dw: np.ndarray
-    seg_dlns: np.ndarray
     jump_t: np.ndarray
     jump_state: np.ndarray
     jump_z: np.ndarray
@@ -617,7 +615,6 @@ def simulate_asset_path(
         seg_t1=seg_t1,
         seg_state=seg_state,
         seg_dw=xi * np.sqrt(dt),
-        seg_dlns=dln,
         jump_t=jump_t,
         jump_state=row_state[jump_rows],
         jump_z=jump_z,

@@ -59,17 +59,6 @@ class McEstimate:
     seed: int
     level: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "level": self.level,
-        }
-
 
 def _child_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     # one independent stream per path; reduction order is the path order.
@@ -286,19 +275,6 @@ class BacktestReport:
     variance_ratio: float
     orthogonality_corr: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "n_rebalance": self.n_rebalance,
-            "initial_value": self.initial_value,
-            "mean_pnl": self.mean_pnl,
-            "std_pnl": self.std_pnl,
-            "unhedged_std": self.unhedged_std,
-            "variance_ratio": self.variance_ratio,
-            "orthogonality_corr": self.orthogonality_corr,
-            "seed": self.seed,
-        }
 
 
 def backtest_hedge(

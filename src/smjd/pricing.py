@@ -356,40 +356,14 @@ def _jump_operators(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray)
     return ops
 
 
-def _jump_term(model: MarketModel, jumps, t: float, i: int, v: np.ndarray, acc=-0.0) -> np.ndarray:
-    """``acc + (B0 + J(t, i) B1) v`` for ``jumps = (B0, B1)``, by two
-    dense products or by one FFT of the combined spectrum; the default
-    ``-0.0`` adds nothing, not even the sign of a zero."""
-    b0, b1 = jumps
-    j = float(model.j_ratio(t, i))
-    if b0.matrix is not None:
-        return acc + b0 @ v + j * (b1 @ v)
-    return acc + b0.plus(b1, j) @ v
-
-
 # ---------------------------------------------------------------------------
 # One-step evolution
 # ---------------------------------------------------------------------------
 
 
-def _require_finite_rates(model: MarketModel, grid: SurfaceGrid) -> None:
-    """Grid methods read every switch rate on the age rows and one step
-    past them; an infinite rate there (a Weibull ``shape < 1`` at age 0)
-    would turn the solve into NaN, so it is rejected up front."""
-    ages = np.concatenate([grid.y, grid.y + grid.dt])
-    for i in range(model.n_states):
-        for j, fn in model.rates.exits(i):
-            vals = np.asarray(fn.value(ages), dtype=float)
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                raise ValueError(
-                    f"switch rate ({i}, {j}) is {vals[bad[0]]} at age {ages[bad[0]]:.6g}; "
-                    "grid methods need rates finite on the age rows"
-                )
-
-
 class _EvolutionEngine:
-    """Precomputed machinery of the backward induction on a fixed grid.
+    """Precomputed machinery of the backward induction on a fixed grid,
+    shared by both grid solvers: each gives ``solve`` its one-step rule.
 
     Hazard increments over one step are exact (closed-form cumulative
     hazards), and the switch integral over a step uses endpoint weights
@@ -407,7 +381,6 @@ class _EvolutionEngine:
         y = grid.y
         if y.size > 1 and abs((y[1] - y[0]) - self.dt) > 1e-12 * max(1.0, self.dt):
             raise ValueError("age grid step must equal the time step")
-        _require_finite_rates(model, grid)
         k = model.n_states
         ny1 = y.size
         spec = model.rates
@@ -415,12 +388,23 @@ class _EvolutionEngine:
         self.w_surv = np.empty((k, ny1))
         self.c_start = np.zeros((k, k, ny1))   # weight of the age-0 unknowns
         self.c_end = np.zeros((k, k, ny1))     # weight of the next-layer age-0 values
+        self.lam_next = np.zeros((k, k, ny1))  # switch rates one step past the age rows
         for i in range(k):
             lam0 = np.zeros((k, ny1))
-            lam1 = np.zeros((k, ny1))
+            lam1 = self.lam_next[i]
             for j, fn in spec.exits(i):
                 lam0[j] = fn.value(y)
                 lam1[j] = fn.value(y_next)
+                # an infinite rate (a Weibull ``shape < 1`` at age 0) would
+                # turn the solve into NaN
+                both = np.concatenate([lam0[j], lam1[j]])
+                bad = np.flatnonzero(~np.isfinite(both))
+                if bad.size:
+                    age = np.concatenate([y, y_next])[bad[0]]
+                    raise ValueError(
+                        f"switch rate ({i}, {j}) is {both[bad[0]]} at age {age:.6g}; "
+                        "grid methods need rates finite on the age rows"
+                    )
             gap = cumulative_hazard(spec, i, y_next) - cumulative_hazard(spec, i, y)
             surv = np.exp(-gap)
             switch_mass = -np.expm1(-gap)
@@ -436,13 +420,9 @@ class _EvolutionEngine:
         self._solve_age0 = np.linalg.inv(np.eye(k) - self.c_start[:, :, 0])
         self.next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
         self.jumps = _jump_operators(model, grid) if model.jump.z.size else None
-        # constant volatility: one kernel per regime serves every step;
-        # tabulated: only the kernels of the latest ``t0`` are kept, since a
-        # step asks for them twice
+        # the projection kernels of the latest ``t0``, built on first use
         self._kernels = None
         self._kernel_t0 = None
-        if model.sigma_values is not None:
-            self._kernels = [self._build_kernel(i, 0.0) for i in range(k)]
 
     def _build_kernel(self, i: int, t0: float) -> _GridOperator:
         var = self.model.sigma_sq_integral(t0, t0 + self.dt, i)
@@ -456,7 +436,11 @@ class _EvolutionEngine:
         return _projection_operator(self.grid.log_s, drift, var, cols)
 
     def kernel(self, i: int, t0: float) -> _GridOperator:
-        if self.model.sigma_values is None and t0 != self._kernel_t0:
+        if self.model.sigma_values is not None:
+            # constant volatility: the kernels built from t0 = 0 serve every
+            # step, as (t0 + dt) - t0 differs from dt in the last bit
+            t0 = 0.0
+        if t0 != self._kernel_t0:
             self._kernels = [self._build_kernel(j, t0) for j in range(self.model.n_states)]
             self._kernel_t0 = t0
         return self._kernels[i]
@@ -486,9 +470,33 @@ class _EvolutionEngine:
         for i in range(self.model.n_states):
             acc = -self.model.r[i] * vals[i]
             if self.jumps is not None:
-                acc = _jump_term(self.model, self.jumps, t, i, vals[i], acc)
+                acc = self._jump_term(t, i, vals[i], acc)
             out[i] = acc
         return out
+
+    def _jump_term(self, t: float, i: int, v: np.ndarray, acc=-0.0) -> np.ndarray:
+        """``acc + (B0 + J(t, i) B1) v``, by two dense products or by one
+        FFT of the combined spectrum; the default ``-0.0`` adds nothing,
+        not even the sign of a zero."""
+        b0, b1 = self.jumps
+        j = float(self.model.j_ratio(t, i))
+        if b0.matrix is not None:
+            return acc + b0 @ v + j * (b1 @ v)
+        return acc + b0.plus(b1, j) @ v
+
+    def solve(self, payoff, step) -> PriceSurface:
+        """Backward induction from ``payoff(s)`` at the horizon: layer
+        ``n`` is ``step(layer n + 1, t[n], t[n + 1])``.  Fills prices and
+        hedge ratios on the full grid."""
+        grid = self.grid
+        n_time = grid.t.size - 1
+        vals = np.empty((n_time + 1, self.model.n_states, grid.log_s.size, grid.y.size))
+        vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]
+        for n in range(n_time - 1, -1, -1):
+            vals[n] = step(vals[n + 1], grid.t[n], grid.t[n + 1])
+        surface = PriceSurface(grid=grid, values=vals)
+        surface.hedge = hedge_ratio(self.model, surface, self.jumps[1] if self.jumps else None)
+        return surface
 
 
 def evolution_step(model: MarketModel, grid: SurfaceGrid, values, t0: float) -> np.ndarray:
@@ -539,11 +547,11 @@ def jump_operator(model: MarketModel, t: float, grid: SurfaceGrid, values) -> np
         raise ValueError("values must be (n_states, n_space, ...)")
     if not model.jump.z.size:
         return np.zeros_like(vals)
-    jumps = _jump_operators(model, grid)
+    engine = _EvolutionEngine(model, grid)
     flat = vals.reshape(model.n_states, grid.log_s.size, -1)
     out = np.empty_like(flat)
     for i in range(model.n_states):
-        out[i] = _jump_term(model, jumps, t, i, flat[i])
+        out[i] = engine._jump_term(t, i, flat[i])
     return out.reshape(vals.shape)
 
 
@@ -652,30 +660,22 @@ def solve_price(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
     """
     _warn_if_inadmissible(model)
     engine = _EvolutionEngine(model, grid)
-    k = model.n_states
-    ns, ny1 = grid.log_s.size, grid.y.size
-    n_time = grid.t.size - 1
-    ones = np.ones((k, ns, ny1))
-    defect = float(np.abs(engine.u_step(ones, grid.t[n_time - 1]) - 1.0).max())
+    ones = np.ones((model.n_states, grid.log_s.size, grid.y.size))
+    defect = float(np.abs(engine.u_step(ones, grid.t[-2]) - 1.0).max())
     if not defect <= CONSERVATIVITY_TOL:
         raise GridResolutionError(
             f"one-step conservativity defect {defect:.3e} exceeds {CONSERVATIVITY_TOL:.1e}"
         )
-    vals = np.empty((n_time + 1, k, ns, ny1))
-    vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]
     dt = engine.dt
-    for n in range(n_time - 1, -1, -1):
-        t0, t1 = grid.t[n], grid.t[n + 1]
-        later = vals[n + 1]
+
+    def step(later, t0, t1):
         corr_end = engine.correction(later, t1)
         u_phi = engine.u_step(later, t0)
         u_corr = engine.u_step(corr_end, t0)
-        predictor = u_phi + dt * u_corr
-        corr_start = engine.correction(predictor, t0)
-        vals[n] = u_phi + 0.5 * dt * (u_corr + corr_start)
-    surface = PriceSurface(grid=grid, values=vals)
-    surface.hedge = hedge_ratio(model, surface, engine.jumps[1] if engine.jumps else None)
-    return surface
+        corr_start = engine.correction(u_phi + dt * u_corr, t0)
+        return u_phi + 0.5 * dt * (u_corr + corr_start)
+
+    return engine.solve(payoff, step)
 
 
 def hedge_ratio(

@@ -287,17 +287,11 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool
     checks: tuple
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def validate_rates(spec: RateSpec, y_max: float) -> ValidationReport:
@@ -480,14 +474,6 @@ class RegimePath:
     horizon: float
     times: np.ndarray
     states: np.ndarray
-
-    def state_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right"))
-        return self.x0 if idx == 0 else int(self.states[idx - 1])
-
-    def age_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right"))
-        return self.y0 + t if idx == 0 else t - float(self.times[idx - 1])
 
     def segments(self):
         """Yield ``(t_start, t_end, state, age_at_start)`` pieces in order."""

@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -398,16 +399,14 @@ class TestPrice:
         assert len(err) == 1 and "(1, 2)" in err[0] and "at age 0;" in err[0], err
         assert not (out / "price.json").exists() and not (out / "surface.csv").exists()
 
-    @pytest.mark.parametrize("failing", [1, 2])
+    @pytest.mark.parametrize("failing", [1, 2, 4, 6])
     def test_failed_write_leaves_no_partial_artifact(
         self, write_config, tmp_path, capsys, monkeypatch, failing
     ):
-        # surface.csv is renamed into place first, price.json second; the
+        # renames 1-3 write surface.csv, price.json and manifest.json into
+        # the staging directory, renames 4-6 move them into place; the
         # failing rename raises as a full disk or a lost directory would
         cfg = write_config(base_config())
-        whole = tmp_path / "whole"
-        assert main(["price", "--config", str(cfg), "--out", str(whole)]) == 0
-        capsys.readouterr()
         replace, calls = os.replace, []
 
         def replace_or_fail(src, dst):
@@ -421,10 +420,8 @@ class TestPrice:
         assert main(["price", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("smjd: i/o error"), err
-        # no temporary file, no price.json, and surface.csv only when whole
-        assert sorted(p.name for p in out.iterdir()) == ["surface.csv"][: failing - 1]
-        if failing == 2:
-            assert (out / "surface.csv").read_bytes() == (whole / "surface.csv").read_bytes()
+        # no staging directory, no temporary file and no artifact
+        assert sorted(p.name for p in out.iterdir()) == []
 
 
 class TestHedgeBacktest:
@@ -524,14 +521,26 @@ class TestXval:
         assert len(err) == 1 and "fd needs" in err[0], err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_bad_level_rejected_before_solve(self, write_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("xval", {"xval": {"tolerance": 0.1, "mc_paths": 1500, "level": 1.5}}),
+            ("xval", {"xval": {"tolerance": -0.01, "mc_paths": 1500}}),
+            ("simulate", {"simulate": {"n_paths": 3, "n_record": -5}}),
+        ],
+        ids=["level", "tolerance-negative", "n_record-negative"],
+    )
+    def test_bad_level_rejected_before_solve(
+        self, write_config, tmp_path, capsys, monkeypatch, command, overrides
+    ):
         monkeypatch.setattr("smjd.cli.solve_price", _must_not_solve)
-        cfg = write_config(
-            base_config(xval={"tolerance": 0.1, "mc_paths": 1500, "level": 1.5})
-        )
+        monkeypatch.setattr("smjd.cli.simulate_asset_path", _must_not_solve)
+        cfg = write_config(base_config(**overrides))
         out = tmp_path / "out"
-        assert main(["xval", "--config", str(cfg), "--out", str(out)]) == 1
-        assert not (out / "xval.json").exists()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smjd: "), err
+        assert not any(out.iterdir())
 
 
 class TestManifest:
@@ -657,13 +666,27 @@ def test_config_mutation_exits_cleanly(leaf, mutant, command):
         assert all(isinstance(r, dict) for r in reports)
 
 
-@pytest.mark.skipif(shutil.which("smjd") is None, reason="console script not on PATH")
-def test_console_script_smoke(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(
+            ["smjd"],
+            marks=pytest.mark.skipif(
+                shutil.which("smjd") is None, reason="console script not on PATH"
+            ),
+            id="smjd",
+        ),
+        pytest.param([sys.executable, "-m", "smjd.cli"], id="module"),
+    ],
+)
+def test_console_script_smoke(tmp_path, command):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(base_config()))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
-        ["smjd", "check", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        [*command, "check", "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr

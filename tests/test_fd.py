@@ -165,6 +165,22 @@ class TestSchemeInvariants:
         with pytest.raises(GridResolutionError):
             solve_price_fd(m, Payoff(kind="call", strikes=(100.0,)), grid)
 
+    def test_age_step_other_than_the_time_step_rejected(self):
+        # ages advance one row per step; rows 2 dt apart would age the
+        # regime at half its speed
+        rates = RateSpec(
+            n_states=2,
+            rates={(0, 1): WeibullRate(1.2, 2.0), (1, 0): ConstantRate(0.8)},
+        )
+        m = MarketModel(
+            rates=rates, r=[0.05, 0.05], mu=[0.05, 0.05], jump=empty_jump(),
+            horizon=1.0, sigma_values=[0.2, 0.3],
+        )
+        grid = build_grid(m, s_ref=100.0, n_time=10, n_space=101, n_age=10)
+        grid.y = 2.0 * grid.y
+        with pytest.raises(ValueError, match="age grid step"):
+            solve_price_fd(m, Payoff(kind="call", strikes=(100.0,)), grid)
+
     def test_admissibility_warning(self):
         m = MarketModel(
             rates=RateSpec(n_states=1, rates={}),

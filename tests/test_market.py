@@ -26,6 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_regimes import age_at, state_at
+
 from smjd import market
 from smjd.market import (
     EtaClamp,
@@ -248,9 +250,12 @@ class TestAssetPath:
         for _ in range(50):
             path = simulate_asset_path(model, s0=100.0, x0=0, y0=0.0, rng=rng)
             assert np.all(path.spot > 0.0)
-            # terminal spot reconstructs exactly from continuous increments
-            # and jump multipliers
-            s_rebuilt = 100.0 * math.exp(np.sum(path.seg_dlns)) * np.prod(
+            # terminal spot reconstructs from the Brownian increments of
+            # the segments and the jump multipliers
+            dt = path.seg_t1 - path.seg_t0
+            sig = np.asarray(model.sigma_values)[path.seg_state]
+            dln = model.mu[path.seg_state] * dt - 0.5 * sig**2 * dt + sig * path.seg_dw
+            s_rebuilt = 100.0 * math.exp(np.sum(dln)) * np.prod(
                 1.0 + model.jump.eta_at(path.jump_z)
             )
             assert path.spot[-1] == pytest.approx(s_rebuilt, rel=1e-12)
@@ -384,13 +389,13 @@ def loop_simulate_asset_path(
     kinds.setdefault(T, []).append(("grid", math.nan))
 
     rows = [(0.0, s0, x0, y0, "grid", math.nan)]
-    seg_t0, seg_t1, seg_state, seg_dw, seg_dlns = [], [], [], [], []
+    seg_t0, seg_t1, seg_state, seg_dw = [], [], [], []
     jump_state = []
     s = s0
     t_prev = 0.0
     int_r = 0.0
     for t_k in sorted(kinds):
-        state = regime.state_at(t_prev)
+        state = state_at(regime, t_prev)
         dt = t_k - t_prev
         if dt > 0:
             var = model.sigma_sq_integral(t_prev, t_k, state)
@@ -402,13 +407,12 @@ def loop_simulate_asset_path(
             seg_t1.append(t_k)
             seg_state.append(state)
             seg_dw.append(xi * math.sqrt(dt))
-            seg_dlns.append(dln)
         for kind, zz in sorted(kinds[t_k], key=lambda p: {"regime": 0, "jump": 1, "grid": 2}[p[0]]):
             if kind == "jump":
                 s *= 1.0 + float(model.jump.eta_at(zz))
-                jump_state.append(regime.state_at(t_k))
+                jump_state.append(state_at(regime, t_k))
             rows.append(
-                (t_k, s, regime.state_at(t_k), regime.age_at(t_k), kind, zz)
+                (t_k, s, state_at(regime, t_k), age_at(regime, t_k), kind, zz)
             )
         t_prev = t_k
 
@@ -428,7 +432,6 @@ def loop_simulate_asset_path(
         seg_t1=np.asarray(seg_t1),
         seg_state=np.asarray(seg_state, dtype=int),
         seg_dw=np.asarray(seg_dw),
-        seg_dlns=np.asarray(seg_dlns),
         jump_t=np.asarray(jump_times),
         jump_state=np.asarray(jump_state, dtype=int),
         jump_z=np.asarray(jump_z),

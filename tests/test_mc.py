@@ -7,6 +7,7 @@ estimators carry their own standard errors, so the oracles here are
 closed forms or cross-estimates within three standard errors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestBacktest:
             bench, bench_surface, payoff=Payoff(kind="call", strikes=(100.0,)),
             s0=100.0, x0=0, y0=0.0, n_paths=50, n_rebalance=10, seed=8,
         )
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["n_paths"] == 50
         assert d["n_rebalance"] == 10
         assert np.isfinite(d["variance_ratio"])
@@ -290,4 +291,4 @@ class TestBitIdentity:
         args = (model, surface, payoff, 100.0, 1, 0.2, 40, 25, 17)
         report = backtest_hedge(*args)
         monkeypatch.setattr(mc, "simulate_asset_path", loop_simulate_asset_path)
-        assert report.to_dict() == backtest_hedge(*args).to_dict()
+        assert dataclasses.asdict(report) == dataclasses.asdict(backtest_hedge(*args))

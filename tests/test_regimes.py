@@ -105,6 +105,18 @@ def choice_sample_transition(spec, i, y0, rng):
     return hold, int(rng.choice(spec.n_states, p=embedded_probs(spec, i, y0 + hold)))
 
 
+def state_at(path, t: float) -> int:
+    """Regime of a ``RegimePath`` at time ``t``, right after any switch there."""
+    idx = int(np.searchsorted(path.times, t, side="right"))
+    return path.x0 if idx == 0 else int(path.states[idx - 1])
+
+
+def age_at(path, t: float) -> float:
+    """Age of a ``RegimePath``'s regime at time ``t``; zero at a switch."""
+    idx = int(np.searchsorted(path.times, t, side="right"))
+    return path.y0 + t if idx == 0 else t - float(path.times[idx - 1])
+
+
 def table_hazard_integral_oracle():
     """Integral of the piecewise-linear rate through (0,1),(1,2),(2,3) up to 1.5.
 
@@ -562,10 +574,10 @@ class TestRegimePath:
         # ages: before the first switch the age includes the initial age
         if path.times.size:
             t_mid = path.times[0] / 2.0
-            assert path.age_at(t_mid) == pytest.approx(0.5 + t_mid)
-            assert path.state_at(t_mid) == 0
+            assert age_at(path, t_mid) == pytest.approx(0.5 + t_mid)
+            assert state_at(path, t_mid) == 0
             t_after = path.times[0] + 1e-9
-            assert path.age_at(t_after) == pytest.approx(1e-9, abs=1e-12)
+            assert age_at(path, t_after) == pytest.approx(1e-9, abs=1e-12)
 
     def test_absorbing_state_path(self):
         spec = rate_spec_from_dict(
@@ -587,7 +599,7 @@ class TestRegimePath:
         rng = np.random.default_rng(4)
         assert sample_transition(spec, 0, 0.0, rng) == (math.inf, 0)
         path = simulate_regime_path(spec, 0, 0.0, 50.0, rng)
-        assert path.times.size == 0 and path.state_at(50.0) == 0
+        assert path.times.size == 0 and state_at(path, 50.0) == 0
 
     def test_hazard_ending_below_the_level_keeps_the_regime(self):
         # rate 1 - y on [0, 1], then 0: the hazard tops out at 1/2, so a
@@ -648,12 +660,12 @@ class TestGenerator:
             states = np.concatenate([[0], path.states])
             integral = 0.0
             for s, a, b in zip(states, bounds[:-1], bounds[1:]):
-                age0 = path.age_at(a) if a > 0 else 0.0
+                age0 = age_at(path, a) if a > 0 else 0.0
                 # fine trapezoid in age over the segment
                 u = np.linspace(0.0, b - a, 64)
                 g = np.array([apply_generator(two_state_constant, phi, int(s), age0 + uu) for uu in u])
                 integral += np.trapezoid(g, u)
-            vals[n] = phi(int(path.state_at(t_end)), float(path.age_at(t_end))) - phi(0, 0.0) - integral
+            vals[n] = phi(state_at(path, t_end), age_at(path, t_end)) - phi(0, 0.0) - integral
         se = vals.std(ddof=1) / math.sqrt(n_paths)
         assert abs(vals.mean()) < 3.0 * se
 

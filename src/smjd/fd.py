@@ -17,7 +17,7 @@ One backward step couples three pieces:
 An explicit-gain guard at setup rejects time steps too large for the
 switching intensities and the jump operator norm.  Everything around the
 step (grid and rate checks, switch rates, jump operators, the layer loop
-and the hedge) is the integral solver's ``_EvolutionEngine``.
+and each layer's hedge) is the integral solver's ``_EvolutionEngine``.
 """
 
 from __future__ import annotations

@@ -47,8 +47,12 @@ __all__ = [
 
 #: default node count for density-based jump measures
 DEFAULT_JUMP_NODES = 201
-#: Simpson node count for time integrals of tabulated volatility
+#: Simpson node count for time integrals of tabulated volatility, and the
+#: rule's node offsets in steps and unit weights 1, 4, 2, ..., 4, 1
 DEFAULT_TIME_NODES = 33
+_TIME_STEPS = np.arange(DEFAULT_TIME_NODES, dtype=float)
+_TIME_UNIT_WEIGHTS = np.where(_TIME_STEPS % 2 == 1, 4.0, 2.0)
+_TIME_UNIT_WEIGHTS[[0, -1]] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,14 @@ def _simpson_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return z, w * h / 3.0
+
+
+def _time_rule(t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_simpson_weights(t0, t1, DEFAULT_TIME_NODES)`` bit for bit, from the unit rule."""
+    h = (t1 - t0) / (DEFAULT_TIME_NODES - 1)
+    t = _TIME_STEPS * h + t0
+    t[-1] = t1
+    return t, _TIME_UNIT_WEIGHTS * h / 3.0
 
 
 @dataclass(frozen=True)
@@ -309,7 +321,7 @@ class MarketModel:
         """Composite Simpson with the model's shared time sub-grid."""
         if t1 <= t0:
             return 0.0
-        t, w = _simpson_weights(t0, t1, DEFAULT_TIME_NODES)
+        t, w = _time_rule(t0, t1)
         return float(np.dot(w, fn(t)))
 
     # -- measure change -----------------------------------------------------

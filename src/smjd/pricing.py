@@ -308,11 +308,11 @@ def _spot_stencil(grid: SurfaceGrid, log_q):
     return c0, c0 + 1, w0, w1
 
 
-def _jump_operators(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray) -> list:
-    """Operators ``sum weights (S - I)`` over the jump nodes, one per
-    weight vector, where ``S`` shifts the spot by ``1 + eta``; without
-    weights, ``[B0, B1]``: ``B0`` sums the node weights ``w``, ``B1`` sums
-    ``w * eta``.  Built for products with one column per age row.
+def _jump_operators(model: MarketModel, grid: SurfaceGrid) -> list:
+    """Operators ``[B0, B1]`` over the jump nodes, where ``S`` shifts the
+    spot by ``1 + eta``: ``B0`` sums ``w (S - I)`` and ``B1`` sums
+    ``w eta (S - I)`` over the node weights ``w``.  Built for products
+    with one column per age row.
 
     A shift moves every row by the same number of nodes, so its reads make
     a two-tap stencil.  Where a read leaves the grid, ``_spot_stencil``
@@ -320,7 +320,6 @@ def _jump_operators(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray)
     that read and takes out the stencil's read of the same row, which can
     only land on an end node."""
     jump = model.jump
-    weights = weights or (jump.w, jump.w * jump.eta_vals)
     u = grid.log_s
     n = u.size
     shifts = np.array(jump.log_gain)
@@ -345,7 +344,7 @@ def _jump_operators(model: MarketModel, grid: SurfaceGrid, *weights: np.ndarray)
         np.where(row + lo[node] == n - 1, frac[node] - 1.0, 0.0),
     ])
     ops = []
-    for wt in weights:
+    for wt in (jump.w, jump.w * jump.eta_vals):
         stencil = np.bincount(
             offsets[on_grid] + n - 1,
             np.concatenate([wt * (1.0 - frac), wt * frac])[on_grid],
@@ -420,6 +419,10 @@ class _EvolutionEngine:
         self._solve_age0 = np.linalg.inv(np.eye(k) - self.c_start[:, :, 0])
         self.next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
         self.jumps = _jump_operators(model, grid) if model.jump.z.size else None
+        # spot-gradient stencil of ``hedge``: central inside, one-sided at the ends
+        up = np.minimum(np.arange(grid.s.size) + 1, grid.s.size - 1)
+        down = np.maximum(np.arange(grid.s.size) - 1, 0)
+        self._grad_stencil = up, down, (grid.s[up] - grid.s[down])[:, None]
         # the projection kernels of the latest ``t0``, built on first use
         self._kernels = None
         self._kernel_t0 = None
@@ -484,19 +487,36 @@ class _EvolutionEngine:
             return acc + b0 @ v + j * (b1 @ v)
         return acc + b0.plus(b1, j) @ v
 
+    def hedge(self, vals: np.ndarray, t: float) -> np.ndarray:
+        """Locally risk-minimizing stock position on the layer ``vals`` at time
+        ``t``, shape ``(k, n_space, n_age + 1)``: ``sigma^2`` times the spot
+        gradient plus ``B1 vals / s``, over ``sigma^2 + int eta^2 dnu``."""
+        k, ns, ny1 = vals.shape
+        up, down, ds = self._grad_stencil
+        grad = (vals.take(up, axis=1) - vals.take(down, axis=1)) / ds
+        jump_term = 0.0
+        if self.jumps is not None:
+            # one product over every regime's columns
+            flat = self.jumps[1] @ vals.transpose(1, 0, 2).reshape(ns, -1)
+            jump_term = flat.reshape(ns, k, ny1).transpose(1, 0, 2) / self.grid.s[:, None]
+        # the array square: a scalar ``** 2`` is pow(), which can differ in the last bit
+        sig2 = np.array([self.model.sigma(t, i) for i in range(k)])[:, None, None] ** 2
+        return (sig2 * grad + jump_term) / (sig2 + self.model.ints.int_eta_sq)
+
     def solve(self, payoff, step) -> PriceSurface:
-        """Backward induction from ``payoff(s)`` at the horizon: layer
-        ``n`` is ``step(layer n + 1, t[n], t[n + 1])``.  Fills prices and
-        hedge ratios on the full grid."""
-        grid = self.grid
-        n_time = grid.t.size - 1
+        """Backward induction from ``payoff(s)`` at the horizon: layer ``n``
+        is ``step(layer n + 1, t[n], t[n + 1])``, and its hedge ratios are
+        filled right after it, so no pass reads the whole surface again."""
+        grid, t = self.grid, self.grid.t
+        n_time = t.size - 1
         vals = np.empty((n_time + 1, self.model.n_states, grid.log_s.size, grid.y.size))
+        hedge = np.empty_like(vals)
         vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]
+        hedge[n_time] = self.hedge(vals[n_time], t[n_time])
         for n in range(n_time - 1, -1, -1):
-            vals[n] = step(vals[n + 1], grid.t[n], grid.t[n + 1])
-        surface = PriceSurface(grid=grid, values=vals)
-        surface.hedge = hedge_ratio(self.model, surface, self.jumps[1] if self.jumps else None)
-        return surface
+            vals[n] = step(vals[n + 1], t[n], t[n + 1])
+            hedge[n] = self.hedge(vals[n], t[n])
+        return PriceSurface(grid, vals, hedge)
 
 
 def evolution_step(model: MarketModel, grid: SurfaceGrid, values, t0: float) -> np.ndarray:
@@ -543,7 +563,7 @@ def jump_operator(model: MarketModel, t: float, grid: SurfaceGrid, values) -> np
     per-regime grid values of shape ``(k, n_space)`` or
     ``(k, n_space, n_age + 1)``."""
     vals = np.asarray(values, dtype=float)
-    if vals.shape[0] != model.n_states or vals.shape[1] != grid.log_s.size:
+    if vals.ndim < 2 or vals.shape[0] != model.n_states or vals.shape[1] != grid.log_s.size:
         raise ValueError("values must be (n_states, n_space, ...)")
     if not model.jump.z.size:
         return np.zeros_like(vals)
@@ -562,13 +582,13 @@ def jump_operator(model: MarketModel, t: float, grid: SurfaceGrid, values) -> np
 
 @dataclass
 class PriceSurface:
-    """Prices (and hedge ratios) on the full ``(t, regime, spot, age)``
+    """Prices and hedge ratios on the full ``(t, regime, spot, age)``
     grid, with multilinear interpolation between nodes and linear-in-spot
     extrapolation beyond the spot range."""
 
     grid: SurfaceGrid
     values: np.ndarray
-    hedge: np.ndarray | None = None
+    hedge: np.ndarray
 
     def _lookup(self, arr: np.ndarray, t: float, s, x, y):
         grid = self.grid
@@ -616,9 +636,7 @@ class PriceSurface:
         return self._lookup(self.values, t, s, x, y)
 
     def hedge_at(self, t: float, s, x, y):
-        """Interpolated hedge ratio; requires the hedge layer."""
-        if self.hedge is None:
-            raise ValueError("hedge layer not filled")
+        """Interpolated hedge ratio."""
         return self._lookup(self.hedge, t, s, x, y)
 
     def price(self, t: float, s: float, x: int, y: float) -> float:
@@ -626,8 +644,6 @@ class PriceSurface:
 
     def to_csv(self, path) -> None:
         """Rows ``t,s,regime,y,price,xi`` over the full grid."""
-        if self.hedge is None:
-            raise ValueError("hedge layer not filled")
         g = self.grid
         write_artifact(path, surface_rows(g.t, g.s, g.y, self.values, self.hedge))
 
@@ -678,28 +694,8 @@ def solve_price(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
     return engine.solve(payoff, step)
 
 
-def hedge_ratio(
-    model: MarketModel, surface: PriceSurface, b1: _GridOperator | None = None
-) -> np.ndarray:
-    """Locally risk-minimizing stock position on the whole grid:
-    diffusion sensitivity plus the jump covariance term, over the total
-    local variance ``sigma^2 + int eta^2 dnu``.  ``b1`` is the solver's
-    ``B1``; without it, ``B1`` is built as the solvers build it."""
-    grid = surface.grid
-    vals = surface.values
-    n_layers, k, ns, ny1 = vals.shape
-    s = grid.s
-    grad = np.empty_like(vals)
-    grad[:, :, 1:-1] = (vals[:, :, 2:] - vals[:, :, :-2]) / (s[2:] - s[:-2])[:, None]
-    grad[:, :, 0] = (vals[:, :, 1] - vals[:, :, 0]) / (s[1] - s[0])
-    grad[:, :, -1] = (vals[:, :, -1] - vals[:, :, -2]) / (s[-1] - s[-2])
-    if model.jump.z.size:
-        if b1 is None:
-            [b1] = _jump_operators(model, grid, model.jump.w * model.jump.eta_vals)
-        flat = vals.transpose(2, 0, 1, 3).reshape(ns, -1)
-        jump_term = (b1 @ flat).reshape(ns, n_layers, k, ny1).transpose(1, 2, 0, 3)
-        jump_term = jump_term / s[None, None, :, None]
-    else:
-        jump_term = 0.0
-    sig2 = np.stack([model.sigma(grid.t, i) for i in range(k)], axis=1)[:, :, None, None] ** 2
-    return (sig2 * grad + jump_term) / (sig2 + model.ints.int_eta_sq)
+def hedge_ratio(model: MarketModel, surface: PriceSurface) -> np.ndarray:
+    """Locally risk-minimizing stock position on the whole grid of
+    ``surface``, layer by layer as the solvers fill ``surface.hedge``."""
+    engine = _EvolutionEngine(model, surface.grid)
+    return np.stack([engine.hedge(v, t) for v, t in zip(surface.values, surface.grid.t)])

@@ -17,6 +17,7 @@ Black-Scholes call (S = K = 100, r = 0.05, sigma = 0.2, T = 1):
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ def savetxt_surface(surf, path):
         comments="",
         fmt=["%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
     )
+
+
+def whole_surface_hedge(model, surface):
+    """The whole-surface hedge pass the per-layer ``_EvolutionEngine.hedge``
+    replaced, kept as its oracle: one gradient and one ``B1`` product over
+    every layer at once."""
+    grid = surface.grid
+    vals = surface.values
+    n_layers, k, ns, ny1 = vals.shape
+    s = grid.s
+    grad = np.empty_like(vals)
+    grad[:, :, 1:-1] = (vals[:, :, 2:] - vals[:, :, :-2]) / (s[2:] - s[:-2])[:, None]
+    grad[:, :, 0] = (vals[:, :, 1] - vals[:, :, 0]) / (s[1] - s[0])
+    grad[:, :, -1] = (vals[:, :, -1] - vals[:, :, -2]) / (s[-1] - s[-2])
+    if model.jump.z.size:
+        b1 = _jump_operators(model, grid)[1]
+        flat = vals.transpose(2, 0, 1, 3).reshape(ns, -1)
+        jump_term = (b1 @ flat).reshape(ns, n_layers, k, ny1).transpose(1, 2, 0, 3)
+        jump_term = jump_term / s[None, None, :, None]
+    else:
+        jump_term = 0.0
+    sig2 = np.stack([model.sigma(grid.t, i) for i in range(k)], axis=1)[:, :, None, None] ** 2
+    return (sig2 * grad + jump_term) / (sig2 + model.ints.int_eta_sq)
 
 
 def projection_matrix(log_s, drift, var):
@@ -169,6 +193,34 @@ def single_regime_model(mu=0.08, sigma=0.2, jump=None, horizon=1.0):
         jump=make_jump() if jump is None else jump,
         horizon=horizon,
         sigma_values=[sigma],
+    )
+
+
+def weibull_model(jump_scale=0.5):
+    """Three regimes switching cyclically 0 -> 1 -> 2 -> 0 with Weibull
+    hazards of shape 1.5."""
+    rates = RateSpec(
+        n_states=3,
+        rates={
+            (0, 1): WeibullRate(1.2, 1.5),
+            (1, 2): WeibullRate(0.9, 1.5),
+            (2, 0): WeibullRate(1.5, 1.5),
+        },
+    )
+    jump = JumpSpec.from_density(
+        lambda z: jump_scale * np.ones_like(z), (-0.5, 1.0), 201, EtaClamp(1.0, -0.5, 1.0)
+    )
+    return MarketModel(
+        rates=rates, r=[0.05, 0.05, 0.05], mu=[0.08, 0.04, 0.06], jump=jump, horizon=1.0,
+        sigma_values=[0.2, 0.3, 0.25],
+    )
+
+
+def tabulated_sigma_model():
+    rates = RateSpec(n_states=2, rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)})
+    return MarketModel(
+        rates=rates, r=[0.05, 0.04], mu=[0.06, 0.05], jump=make_jump(51), horizon=1.0,
+        sigma_table=([0.0, 0.5, 1.0], [[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]]),
     )
 
 
@@ -419,6 +471,12 @@ class TestJumpOperator:
                     # interpolation may look one node beyond the query point
                     assert ratio <= bound * (1.0 + 2.0 * du)
 
+    @pytest.mark.parametrize("shape", [(301,), (3, 301), (2, 300), (2, 300, 4)])
+    def test_rejects_values_of_the_wrong_shape(self, bench, shape):
+        g = build_grid(bench, s_ref=100.0, n_time=10, n_space=301, n_age=0)
+        with pytest.raises(ValueError, match="n_states, n_space"):
+            jump_operator(bench, 0.0, g, np.ones(shape))
+
     def test_empty_measure_gives_zero(self):
         m = single_regime_model(jump=empty_jump())
         g = build_grid(m, s_ref=100.0, n_time=10, n_space=51, n_age=0)
@@ -650,11 +708,7 @@ class TestSolvePrice:
 
     def test_tabulated_sigma_builds_each_kernel_once(self, monkeypatch):
         # each step applies the kernels of its t0 twice; they are built once
-        rates = RateSpec(n_states=2, rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)})
-        m = MarketModel(
-            rates=rates, r=[0.05, 0.04], mu=[0.06, 0.05], jump=make_jump(51), horizon=1.0,
-            sigma_table=([0.0, 0.5, 1.0], [[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]]),
-        )
+        m = tabulated_sigma_model()
         grid = build_grid(m, s_ref=100.0, n_time=12, n_space=101, n_age=0)
         payoff = Payoff(kind="call", strikes=(100.0,))
         builds = []
@@ -811,6 +865,53 @@ class TestHedgeRatio:
     def test_explicit_call_matches_stored(self, bench, bench_call_surface):
         h = hedge_ratio(bench, bench_call_surface)
         assert np.array_equal(h, bench_call_surface.hedge)
+
+    @pytest.mark.parametrize(
+        "solver, name, n_time, n_space, n_age",
+        [
+            ("ie", "markov", 12, 201, 0),
+            ("fd", "markov", 16, 301, None),
+            ("ie", "weibull", 12, 301, None),
+            ("fd", "weibull", 16, 601, 5),
+            ("ie", "weibull", 8, 1601, 0),
+            ("ie", "tabulated-sigma", 12, 601, 4),
+            ("fd", "tabulated-sigma", 16, 201, 0),
+            ("ie", "one-regime", 8, 1601, 0),
+            ("fd", "one-regime", 16, 601, None),
+            ("ie", "no-jumps", 12, 301, 3),
+            ("fd", "no-jumps", 16, 601, 0),
+        ],
+    )
+    def test_layer_hedges_match_the_whole_surface_pass(self, solver, name, n_time, n_space, n_age):
+        # dense (201, 301 nodes) and FFT (601, 1601) jump products, which
+        # now run over one layer's columns instead of every layer's
+        model = {
+            "markov": benchmark_model,
+            "weibull": weibull_model,
+            "tabulated-sigma": tabulated_sigma_model,
+            "one-regime": single_regime_model,
+            "no-jumps": lambda: single_regime_model(jump=empty_jump()),
+        }[name]()
+        grid = build_grid(model, s_ref=100.0, n_time=n_time, n_space=n_space, n_age=n_age)
+        solve = solve_price if solver == "ie" else solve_price_fd
+        surf = solve(model, Payoff(kind="call", strikes=(100.0,)), grid)
+        want = whole_surface_hedge(model, surf)
+        assert np.abs(surf.hedge - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("solve", [solve_price, solve_price_fd])
+    def test_solver_memory_stays_within_three_surfaces(self, solve):
+        # prices and hedges are two surfaces; the hedge of each layer is
+        # filled as the layer is, so the step's temporaries are layer-sized
+        model = weibull_model()
+        grid = build_grid(model, s_ref=100.0, n_time=32, n_space=301)
+        payoff = Payoff(kind="call", strikes=(100.0,))
+        tracemalloc.start()
+        try:
+            surf = solve(model, payoff, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * surf.values.nbytes
 
     def test_bounded_by_twice_max_slope(self, bench_call_surface):
         surf = bench_call_surface

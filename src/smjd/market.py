@@ -47,12 +47,10 @@ __all__ = [
 
 #: default node count for density-based jump measures
 DEFAULT_JUMP_NODES = 201
-#: Simpson node count for time integrals of tabulated volatility, and the
-#: rule's node offsets in steps and unit weights 1, 4, 2, ..., 4, 1
+#: Simpson node count for time integrals of tabulated volatility
 DEFAULT_TIME_NODES = 33
-_TIME_STEPS = np.arange(DEFAULT_TIME_NODES, dtype=float)
-_TIME_UNIT_WEIGHTS = np.where(_TIME_STEPS % 2 == 1, 4.0, 2.0)
-_TIME_UNIT_WEIGHTS[[0, -1]] = 1.0
+#: Simpson weights 1, 4, 2, ..., 4, 1 per node count, each built once
+_SIMPSON_UNIT_WEIGHTS: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +109,15 @@ def _eta_from_dict(d: dict):
 
 def _simpson_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Simpson rule with ``n`` odd nodes."""
-    if n % 2 == 0:
-        n += 1
-    n = max(n, 3)
-    z = np.linspace(a, b, n)
+    n = max(n | 1, 3)
     h = (b - a) / (n - 1)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+    z = np.arange(n) * h + a   # np.linspace(a, b, n), by the same arithmetic
+    z[-1] = b
+    w = _SIMPSON_UNIT_WEIGHTS.get(n)
+    if w is None:
+        w = _SIMPSON_UNIT_WEIGHTS[n] = np.where(np.arange(n) % 2 == 1, 4.0, 2.0)
+        w[[0, -1]] = 1.0
     return z, w * h / 3.0
-
-
-def _time_rule(t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_simpson_weights(t0, t1, DEFAULT_TIME_NODES)`` bit for bit, from the unit rule."""
-    h = (t1 - t0) / (DEFAULT_TIME_NODES - 1)
-    t = _TIME_STEPS * h + t0
-    t[-1] = t1
-    return t, _TIME_UNIT_WEIGHTS * h / 3.0
 
 
 @dataclass(frozen=True)
@@ -321,7 +311,7 @@ class MarketModel:
         """Composite Simpson with the model's shared time sub-grid."""
         if t1 <= t0:
             return 0.0
-        t, w = _time_rule(t0, t1)
+        t, w = _simpson_weights(t0, t1, DEFAULT_TIME_NODES)
         return float(np.dot(w, fn(t)))
 
     # -- measure change -----------------------------------------------------

@@ -360,6 +360,24 @@ def _jump_operators(model: MarketModel, grid: SurfaceGrid) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _hedge(model: MarketModel, s: np.ndarray, b1, vals: np.ndarray, t: float) -> np.ndarray:
+    """Locally risk-minimizing stock position on the layer ``vals`` at time
+    ``t``, shape ``(k, n_space, n_age + 1)``: ``sigma^2`` times the spot
+    gradient plus ``b1 vals / s`` (none without jumps), over ``sigma^2 + int eta^2 dnu``."""
+    k, ns, ny1 = vals.shape
+    # central differences inside, one-sided at the ends
+    up, down = np.minimum(np.arange(ns) + 1, ns - 1), np.maximum(np.arange(ns) - 1, 0)
+    grad = (vals.take(up, axis=1) - vals.take(down, axis=1)) / (s[up] - s[down])[:, None]
+    jump_term = 0.0
+    if b1 is not None:
+        # one product over every regime's columns
+        flat = b1 @ vals.transpose(1, 0, 2).reshape(ns, -1)
+        jump_term = flat.reshape(ns, k, ny1).transpose(1, 0, 2) / s[:, None]
+    # the array square: a scalar ``** 2`` is pow(), which can differ in the last bit
+    sig2 = np.array([model.sigma(t, i) for i in range(k)])[:, None, None] ** 2
+    return (sig2 * grad + jump_term) / (sig2 + model.ints.int_eta_sq)
+
+
 class _EvolutionEngine:
     """Precomputed machinery of the backward induction on a fixed grid,
     shared by both grid solvers: each gives ``solve`` its one-step rule.
@@ -419,10 +437,6 @@ class _EvolutionEngine:
         self._solve_age0 = np.linalg.inv(np.eye(k) - self.c_start[:, :, 0])
         self.next_row = np.minimum(np.arange(ny1) + 1, ny1 - 1)
         self.jumps = _jump_operators(model, grid) if model.jump.z.size else None
-        # spot-gradient stencil of ``hedge``: central inside, one-sided at the ends
-        up = np.minimum(np.arange(grid.s.size) + 1, grid.s.size - 1)
-        down = np.maximum(np.arange(grid.s.size) - 1, 0)
-        self._grad_stencil = up, down, (grid.s[up] - grid.s[down])[:, None]
         # the projection kernels of the latest ``t0``, built on first use
         self._kernels = None
         self._kernel_t0 = None
@@ -487,35 +501,20 @@ class _EvolutionEngine:
             return acc + b0 @ v + j * (b1 @ v)
         return acc + b0.plus(b1, j) @ v
 
-    def hedge(self, vals: np.ndarray, t: float) -> np.ndarray:
-        """Locally risk-minimizing stock position on the layer ``vals`` at time
-        ``t``, shape ``(k, n_space, n_age + 1)``: ``sigma^2`` times the spot
-        gradient plus ``B1 vals / s``, over ``sigma^2 + int eta^2 dnu``."""
-        k, ns, ny1 = vals.shape
-        up, down, ds = self._grad_stencil
-        grad = (vals.take(up, axis=1) - vals.take(down, axis=1)) / ds
-        jump_term = 0.0
-        if self.jumps is not None:
-            # one product over every regime's columns
-            flat = self.jumps[1] @ vals.transpose(1, 0, 2).reshape(ns, -1)
-            jump_term = flat.reshape(ns, k, ny1).transpose(1, 0, 2) / self.grid.s[:, None]
-        # the array square: a scalar ``** 2`` is pow(), which can differ in the last bit
-        sig2 = np.array([self.model.sigma(t, i) for i in range(k)])[:, None, None] ** 2
-        return (sig2 * grad + jump_term) / (sig2 + self.model.ints.int_eta_sq)
-
     def solve(self, payoff, step) -> PriceSurface:
         """Backward induction from ``payoff(s)`` at the horizon: layer ``n``
         is ``step(layer n + 1, t[n], t[n + 1])``, and its hedge ratios are
         filled right after it, so no pass reads the whole surface again."""
         grid, t = self.grid, self.grid.t
+        b1 = self.jumps[1] if self.jumps else None
         n_time = t.size - 1
         vals = np.empty((n_time + 1, self.model.n_states, grid.log_s.size, grid.y.size))
         hedge = np.empty_like(vals)
         vals[n_time] = np.asarray(payoff(grid.s), dtype=float)[None, :, None]
-        hedge[n_time] = self.hedge(vals[n_time], t[n_time])
+        hedge[n_time] = _hedge(self.model, grid.s, b1, vals[n_time], t[n_time])
         for n in range(n_time - 1, -1, -1):
             vals[n] = step(vals[n + 1], t[n], t[n + 1])
-            hedge[n] = self.hedge(vals[n], t[n])
+            hedge[n] = _hedge(self.model, grid.s, b1, vals[n], t[n])
         return PriceSurface(grid, vals, hedge)
 
 
@@ -696,6 +695,8 @@ def solve_price(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurface:
 
 def hedge_ratio(model: MarketModel, surface: PriceSurface) -> np.ndarray:
     """Locally risk-minimizing stock position on the whole grid of
-    ``surface``, layer by layer as the solvers fill ``surface.hedge``."""
-    engine = _EvolutionEngine(model, surface.grid)
-    return np.stack([engine.hedge(v, t) for v, t in zip(surface.values, surface.grid.t)])
+    ``surface``, layer by layer as the solvers fill it; reads only the spot
+    grid, ``B1`` and sigma, so no time, age or switch-rate check applies."""
+    grid = surface.grid
+    b1 = _jump_operators(model, grid)[1] if model.jump.z.size else None
+    return np.stack([_hedge(model, grid.s, b1, v, t) for v, t in zip(surface.values, grid.t)])

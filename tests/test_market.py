@@ -688,16 +688,20 @@ class TestSigmaTable:
         assert got == pytest.approx(0.04 + 0.02 + 0.01 / 3.0, rel=1e-12)
         assert model.sigma(0.5, 0) == pytest.approx(0.25, rel=1e-14)
 
-    def test_time_rule_equals_the_linspace_rule(self):
-        # the rule built once from unit weights, against a fresh Simpson
-        # build on every interval; widths from 1e-9 to 1e3
+    def test_simpson_rule_equals_the_linspace_rule(self):
+        # nodes from the cached unit weights and one step, against
+        # np.linspace and a fresh weight build; widths from 1e-9 to 1e3
         rng = np.random.default_rng(4)
         t0 = rng.uniform(-10.0, 10.0, 20_000)
         t1 = t0 + 10.0 ** rng.uniform(-9.0, 3.0, t0.size)
-        for a, b in zip(t0.tolist(), t1.tolist()):
-            got = market._time_rule(a, b)
-            want = market._simpson_weights(a, b, market.DEFAULT_TIME_NODES)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for n in (market.DEFAULT_TIME_NODES, market.DEFAULT_JUMP_NODES):
+            w = np.full(n, 2.0)
+            w[1::2] = 4.0
+            w[0] = w[-1] = 1.0
+            for a, b in zip(t0.tolist(), t1.tolist()):
+                z, quad = market._simpson_weights(a, b, n)
+                assert np.array_equal(z, np.linspace(a, b, n))
+                assert np.array_equal(quad, w * ((b - a) / (n - 1)) / 3.0)
 
     def test_positive_sigma_required(self):
         rates = rate_spec_from_dict({"states": 1, "rates": []})

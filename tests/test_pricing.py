@@ -35,6 +35,7 @@ from smjd.payoffs import Payoff, payoff_from_dict
 from smjd.pricing import (
     AdmissibilityWarning,
     PriceSurface,
+    SurfaceGrid,
     _EvolutionEngine,
     _jump_operators,
     _projection_operator,
@@ -77,7 +78,7 @@ def savetxt_surface(surf, path):
 
 
 def whole_surface_hedge(model, surface):
-    """The whole-surface hedge pass the per-layer ``_EvolutionEngine.hedge``
+    """The whole-surface hedge pass the per-layer ``_Hedge``
     replaced, kept as its oracle: one gradient and one ``B1`` product over
     every layer at once."""
     grid = surface.grid
@@ -196,7 +197,7 @@ def single_regime_model(mu=0.08, sigma=0.2, jump=None, horizon=1.0):
     )
 
 
-def weibull_model(jump_scale=0.5):
+def weibull_model():
     """Three regimes switching cyclically 0 -> 1 -> 2 -> 0 with Weibull
     hazards of shape 1.5."""
     rates = RateSpec(
@@ -208,7 +209,7 @@ def weibull_model(jump_scale=0.5):
         },
     )
     jump = JumpSpec.from_density(
-        lambda z: jump_scale * np.ones_like(z), (-0.5, 1.0), 201, EtaClamp(1.0, -0.5, 1.0)
+        lambda z: 0.5 * np.ones_like(z), (-0.5, 1.0), 201, EtaClamp(1.0, -0.5, 1.0)
     )
     return MarketModel(
         rates=rates, r=[0.05, 0.05, 0.05], mu=[0.08, 0.04, 0.06], jump=jump, horizon=1.0,
@@ -865,6 +866,24 @@ class TestHedgeRatio:
     def test_explicit_call_matches_stored(self, bench, bench_call_surface):
         h = hedge_ratio(bench, bench_call_surface)
         assert np.array_equal(h, bench_call_surface.hedge)
+
+    def test_explicit_call_hedges_a_surface_no_solver_takes(self, bench_call_surface):
+        # one time node, age rows two steps apart, and a Weibull shape-0.5
+        # exit (infinite at age 0): the solvers refuse each, the hedge reads
+        # none of them
+        g = bench_call_surface.grid
+        grid = SurfaceGrid(g.t[:1], g.log_s, np.array([0.0, 2.0 * g.dt]), g.s_ref, g.ref_index)
+        values = np.repeat(bench_call_surface.values[:1, :, :, :1], 2, axis=3)
+        rates = RateSpec(n_states=2, rates={(0, 1): WeibullRate(1.0, 0.5), (1, 0): ConstantRate(1.0)})
+        model = MarketModel(
+            rates=rates, r=[0.05, 0.04], mu=[0.06, 0.05], jump=make_jump(51), horizon=1.0,
+            sigma_values=[0.2, 0.3],
+        )
+        with pytest.raises(ValueError):
+            _EvolutionEngine(model, grid)
+        surf = PriceSurface(grid, values, np.zeros_like(values))
+        want = whole_surface_hedge(model, surf)
+        assert np.abs(hedge_ratio(model, surf) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "solver, name, n_time, n_space, n_age",

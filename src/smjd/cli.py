@@ -35,7 +35,8 @@ Exit codes
 ----------
 ``0`` success; ``1`` validation failure (invalid model or config values,
 inadmissible measure change, failed ``check``); ``2`` numerical failure
-(grid resolution, cross-validation disagreement); ``3`` I/O failure
+(grid resolution, cross-validation disagreement, a simulated spot out of
+floating-point range); ``3`` I/O failure
 (unreadable config, malformed JSON, unusable output directory).
 """
 
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"smjd: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GridResolutionError as exc:
+    except (GridResolutionError, OverflowError) as exc:
         print(f"smjd: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .market import MarketModel
 from .pricing import (
@@ -103,6 +102,8 @@ def solve_price_fd(model: MarketModel, payoff, grid: SurfaceGrid) -> PriceSurfac
     GridResolutionError
         If ``dt`` times the explicit gain exceeds ``MAX_EXPLICIT_STEP``.
     """
+    from scipy.linalg import solve_banded  # imported here: only this solver needs it
+
     _warn_if_inadmissible(model)
     engine = _EvolutionEngine(model, grid)
     dt = engine.dt

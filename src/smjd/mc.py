@@ -27,7 +27,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .market import (
     MarketModel,
@@ -83,6 +82,8 @@ def _require_rebalancing(n_paths: int, n_rebalance: int) -> None:
 
 
 def _estimate(vals: np.ndarray, seed: int, level: float) -> McEstimate:
+    from scipy.special import ndtri  # imported here: only an estimate needs it
+
     n = vals.size
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n))

@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import ndtr
 
 from ._artifacts import surface_rows, write_artifact
 from .market import MarketModel, check_no_arbitrage
@@ -164,11 +163,6 @@ def _edge_cols(n: int) -> list:
     return [0, 1, n - 2, n - 1]
 
 
-def _fft_size(n: int) -> int:
-    # a circular product of this length reads no wrapped-around term
-    return next_fast_len(2 * n - 1, real=True)
-
-
 @dataclass(frozen=True)
 class _GridOperator:
     """The ``n x n`` operator ``T + E + diag I`` on the spot nodes.
@@ -177,7 +171,8 @@ class _GridOperator:
     ``E`` is nonzero only in columns ``0, 1, n - 2, n - 1``, which ``edge``
     holds as an ``n x 4`` block.  Built by ``_grid_operator``, it holds
     either the dense matrix made from these parts (``matrix``) or the
-    stencil's spectrum (``spectrum``), so ``op @ v`` is a BLAS product or
+    stencil's spectrum (``spectrum``) with the real FFT pair along axis 0
+    at the transform length (``fft``), so ``op @ v`` is a BLAS product or
     one FFT over all columns of ``v``, shape ``(n, cols)``.
     """
 
@@ -186,13 +181,14 @@ class _GridOperator:
     diag: float
     matrix: np.ndarray | None = None
     spectrum: np.ndarray | None = None
+    fft: tuple | None = None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix @ v
         n = v.shape[0]
-        size = _fft_size(n)
-        out = irfft(rfft(v, size, axis=0) * self.spectrum[:, None], size, axis=0)[:n]
+        forward, inverse = self.fft
+        out = inverse(forward(v) * self.spectrum[:, None])[:n]
         out += self.edge @ v[_edge_cols(n)]
         if self.diag:
             out += self.diag * v
@@ -210,6 +206,7 @@ class _GridOperator:
             self.diag + c * other.diag,
             mix(self.matrix, other.matrix),
             mix(self.spectrum, other.spectrum),
+            self.fft,
         )
 
     def dense(self) -> np.ndarray:
@@ -234,11 +231,17 @@ def _grid_operator(stencil: np.ndarray, edge: np.ndarray, diag: float, cols: int
     n = edge.shape[0]
     if not _use_fft(n, cols):
         return replace(op, matrix=op.dense())
+    from scipy.fft import irfft, next_fast_len, rfft  # imported here: only this branch needs it
+
+    # a circular product of this length reads no wrapped-around term
+    size = next_fast_len(2 * n - 1, real=True)
+    forward = partial(rfft, n=size, axis=0)
+    inverse = partial(irfft, n=size, axis=0)
     # entry (l, j) reads offset j - l: a circular cross-correlation
-    wrapped = np.zeros(_fft_size(n))
+    wrapped = np.zeros(size)
     wrapped[:n] = stencil[n - 1 :]
-    wrapped[wrapped.size - n + 1 :] = stencil[: n - 1]
-    return replace(op, spectrum=np.conj(rfft(wrapped)))
+    wrapped[size - n + 1 :] = stencil[: n - 1]
+    return replace(op, spectrum=np.conj(forward(wrapped)), fft=(forward, inverse))
 
 
 def _projection_operator(log_s: np.ndarray, drift: float, var: float, cols: int) -> _GridOperator:
@@ -254,6 +257,8 @@ def _projection_operator(log_s: np.ndarray, drift: float, var: float, cols: int)
     ``exp(u)`` folds into the two end columns on each side.  Rows sum to
     one up to rounding.
     """
+    from scipy.special import ndtr  # imported here: only the grid solvers need it
+
     u = log_s
     n = u.size
     h = u[1] - u[0]

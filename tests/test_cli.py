@@ -211,6 +211,17 @@ class TestSimulate:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("mu", [1e6, 4000.0], ids=["one-segment", "running-product"])
+    def test_spot_overflow_exits_two_without_artifacts(self, mu, write_config, tmp_path, capsys):
+        # 1e6: exp of one segment's log-increment overflows; 4000: each
+        # segment's factor is finite, but their product is not
+        cfg = write_config(base_config(model=model_dict(mu=(mu, 0.05)), seed=3))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smjd: numerical error: "), err
+        assert not any(out.iterdir())
+
     def test_seed_override_changes_paths(self, write_config, tmp_path):
         cfg = write_config(base_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"

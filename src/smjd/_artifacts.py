@@ -6,32 +6,122 @@ either the whole new file or none of it; on any failure the temporary
 file is removed.  A command writes all its artifacts into a ``staging``
 directory and ``publish``es them together, its manifest last.  Tables are
 formatted with ``%.17g`` (round trip) and one ``%`` per block of rows.
+
+A large ``surface.csv`` is formatted by as many processes as there are
+usable CPUs: the later blocks of time layers go to children made with
+``os.fork`` (``layer_blocks``, ``write_artifact``), and the bytes are
+those of one process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+#: rows of ``surface.csv`` each formatting process must have before a
+#: fork pays for itself (README, "File formats": the measured table)
+_FORK_MIN_ROWS = 5_000
 
-def write_artifact(path, chunks) -> None:
+
+def layer_blocks(n_layers: int, n_rows: int) -> list[tuple[int, int]]:
+    """Contiguous ``[a, b)`` blocks of ``n_layers`` time layers holding
+    ``n_rows`` rows in all, one per formatting process: as many as the
+    usable CPUs, the layers and ``n_rows // _FORK_MIN_ROWS`` allow, and one
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+        workers = max(1, min(cpus, n_layers, n_rows // max(_FORK_MIN_ROWS, 1)))
+    cuts = [n_layers * k // workers for k in range(workers + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def write_artifact(path, chunks, *forked) -> None:
     """Write the strings of ``chunks`` (any iterable, consumed once) to
-    ``path`` atomically."""
+    ``path`` atomically, followed by those of each iterable in ``forked``
+    in order.  Each of these is consumed by its own child made with
+    ``os.fork``, which writes a part file beside the temporary file while
+    this process consumes ``chunks``; the parts are appended in order.  A
+    failed child fails the write with ``OSError``; on any failure every
+    child still running is killed and reaped."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    parts = [tmp.with_name(f"{tmp.name}.{k}.part") for k in range(len(forked))]
+    pids = []
     try:
+        # each child goes to a CPU other than this thread's: a kernel that
+        # is slow to balance its run queues (seen on a 2-vCPU KVM guest)
+        # would run a short-lived child beside its parent
+        cpus = _cpus_beside_this_thread() if forked else []
+        for k, (part, rows) in enumerate(zip(parts, forked)):
+            pids.append(_fork_writer(part, rows))
+            with contextlib.suppress(OSError):  # the placement is a hint
+                os.sched_setaffinity(pids[-1], {cpus[k % len(cpus)]})
         with open(tmp, "w", encoding="utf-8") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+            fh.flush()
+            for part in parts:
+                status = os.waitpid(pids[0], 0)[1]
+                pid = pids.pop(0)
+                if status:
+                    raise OSError(
+                        f"the process {pid} formatting {part.name} failed "
+                        f"(exit code {os.waitstatus_to_exitcode(status)})"
+                    )
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
         os.replace(tmp, path)
     except BaseException:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         tmp.unlink(missing_ok=True)
         raise
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
+def _cpus_beside_this_thread() -> list[int]:
+    """The usable CPUs other than the one this thread runs on (field 39 of
+    ``/proc/thread-self/stat``), or all of them where that is unknown."""
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as fh:
+            here = int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return cpus
+    return [c for c in cpus if c != here] or cpus
+
+
+def _fork_writer(part: Path, chunks) -> int:
+    """Fork a child that writes the strings of ``chunks`` to ``part`` and
+    exits, with code 0 only if all were written; returns its pid.  The
+    child never returns into the caller's frames: whatever it raises, the
+    ``finally`` ends it with ``os._exit``."""
+    parent, code = os.getpid(), 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            # a collection here could run a finalizer of the parent's garbage
+            gc.disable()
+            with open(part, "w", encoding="utf-8") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            code = 0
+    finally:
+        if os.getpid() != parent:
+            os._exit(code)
+    return pid
 
 
 @contextlib.contextmanager
@@ -65,7 +155,9 @@ def surface_rows(t, s, y, price: np.ndarray, xi: np.ndarray):
     """Header and rows ``t,s,regime,y,price,xi`` of a surface, one string
     per time layer.  ``price`` and ``xi`` are shaped ``(t, regime, s, y)``;
     rows run over ``t``, then ``s``, then the regime, then ``y``.  Each
-    distinct ``t``, ``s`` and ``y`` is formatted once."""
+    distinct ``t``, ``s`` and ``y`` is formatted once.  Any slice of the
+    time layers of ``t``, ``price`` and ``xi`` gives the header and that
+    slice's rows."""
     g17 = "%.17g".__mod__
     # the rows of one layer, with a NUL where each row's t goes
     body = "\0" + "\0".join(

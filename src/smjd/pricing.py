@@ -27,11 +27,12 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._artifacts import surface_rows, write_artifact
+from ._artifacts import layer_blocks, surface_rows, write_artifact
 from .market import MarketModel, check_no_arbitrage
 from .regimes import cumulative_hazard
 
@@ -455,7 +456,16 @@ class _EvolutionEngine:
         )
         # applied to the age rows and the age-zero column of every regime
         cols = self.grid.y.size + self.model.n_states
-        return _projection_operator(self.grid.log_s, drift, var, cols)
+        # a drift that carries the spot's mean past the largest float makes
+        # the tails inf and nan: refuse the step rather than warn per array
+        with np.errstate(over="ignore", invalid="ignore"):
+            op = _projection_operator(self.grid.log_s, drift, var, cols)
+        if not (np.isfinite(op.stencil).all() and np.isfinite(op.edge).all()):
+            raise GridResolutionError(
+                f"the projection of regime {i} over one step from t={t0:.6g} overflows "
+                f"(log-drift {drift:.6g}, variance {var:.6g})"
+            )
+        return op
 
     def kernel(self, i: int, t0: float) -> _GridOperator:
         if self.model.sigma_values is not None:
@@ -647,9 +657,15 @@ class PriceSurface:
         return float(self.value_at(t, s, x, y))
 
     def to_csv(self, path) -> None:
-        """Rows ``t,s,regime,y,price,xi`` over the full grid."""
+        """Rows ``t,s,regime,y,price,xi`` over the full grid; each block of
+        time layers after the first is formatted by a forked process."""
         g = self.grid
-        write_artifact(path, surface_rows(g.t, g.s, g.y, self.values, self.hedge))
+        first, *later = (
+            surface_rows(g.t[a:b], g.s, g.y, self.values[a:b], self.hedge[a:b])
+            for a, b in layer_blocks(g.t.size, self.values.size)
+        )
+        # the header is the first block's alone
+        write_artifact(path, first, *(islice(rows, 1, None) for rows in later))
 
 
 def _warn_if_inadmissible(model: MarketModel) -> None:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from test_market import loop_simulate_asset_path
 
-from smjd import cli, pricing
+from smjd import _artifacts, cli, pricing
 from smjd.cli import main
 
 
@@ -433,6 +433,75 @@ class TestPrice:
         assert len(err) == 1 and err[0].startswith("smjd: i/o error"), err
         # no staging directory, no temporary file and no artifact
         assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_surface_above_the_fork_crossover_matches_one_process(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        # 9 layers x 301 spots x 2 regimes x 5 ages = 27 090 rows
+        cfg = write_config(base_config(grid={"n_time": 8, "n_space": 301, "n_age": 4}))
+        assert 27_090 >= 2 * _artifacts._FORK_MIN_ROWS
+        forked, fork_writer = [], _artifacts._fork_writer
+
+        def counted(part, chunks):
+            forked.append(part)
+            return fork_writer(part, chunks)
+
+        monkeypatch.setattr(_artifacts, "_fork_writer", counted)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
+        assert len(forked) == min(len(os.sched_getaffinity(0)), 5) - 1
+        monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 10**9)
+        assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
+        assert len(forked) == min(len(os.sched_getaffinity(0)), 5) - 1
+        assert (out_a / "surface.csv").read_bytes() == (out_b / "surface.csv").read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_surface_child_exits_three_and_keeps_the_old_run(
+        self, write_config, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(base_config())
+        out = tmp_path / "out"
+        assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 0)
+        if len(os.sched_getaffinity(0)) < 2:
+            monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, 1), (1, n)])
+        rows = pricing.surface_rows
+
+        def fail_after_t0(t, *args):
+            # fails only in the blocks of the forked children
+            for chunk in rows(t, *args):
+                if t[0] > 0.0:
+                    raise OSError("disk full")
+                yield chunk
+
+        monkeypatch.setattr(pricing, "surface_rows", fail_after_t0)
+        assert main(["price", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smjd: i/o error"), err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", ["price", "hedge-backtest"])
+    def test_overflowing_projection_is_one_numerical_error(self, write_config, tmp_path, command):
+        # a drift of 1e6 carries the spot's mean past the largest float in
+        # one step; stderr holds the admissibility warning and one error line
+        cfg = write_config(base_config(model=model_dict(mu=(1e6, 0.05))))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        script = "import sys; from smjd.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        assert "AdmissibilityWarning" in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("smjd:")]
+        assert len(errors) == 1 and errors[0].startswith("smjd: numerical error: "), errors
+        assert "regime 0" in errors[0]
 
 
 class TestHedgeBacktest:

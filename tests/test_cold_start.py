@@ -105,3 +105,20 @@ def test_ie_price_below_the_fft_crossover_loads_no_linalg(tmp_path):
     loaded = _loaded_after(tmp_path, "price", config)
     assert "scipy.special" in loaded         # the kernel projection's normal cdf
     assert "scipy.linalg" not in loaded
+
+
+def test_cli_import_loads_no_process_pool():
+    # the surface writer forks with os.fork alone; a process pool module
+    # would add its import to every command's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = (
+        "import json, sys, smjd.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

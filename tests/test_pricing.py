@@ -17,6 +17,8 @@ Black-Scholes call (S = K = 100, r = 0.05, sigma = 0.2, T = 1):
 """
 
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from smjd import pricing
+from smjd import _artifacts, pricing
 from smjd.fd import solve_price_fd
 from smjd.market import EtaClamp, JumpSpec, MarketModel, simulate_asset_path
 from smjd.payoffs import Payoff, payoff_from_dict
@@ -847,6 +849,133 @@ class TestSolvePrice:
             surf.to_csv(out)
         assert out.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
+
+
+def random_surface(n_layers, n_space, n_age, k, seed=0):
+    """A surface of random prices and hedges, with a few special values,
+    on ``n_layers`` times, ``k`` regimes and ``n_age + 1`` age rows."""
+    grid = SurfaceGrid(
+        t=np.linspace(0.0, 1.0, n_layers),
+        log_s=np.linspace(3.5, 5.5, n_space),
+        y=np.linspace(0.0, 0.5, n_age + 1),
+        s_ref=100.0,
+        ref_index=n_space // 2,
+    )
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, n_layers, k, n_space, n_age + 1)) * 10.0 ** rng.integers(
+        -20, 20, (2, n_layers, k, n_space, n_age + 1)
+    )
+    values.ravel()[:4] = [-0.0, np.nan, np.inf, 5e-324]
+    return PriceSurface(grid=grid, values=values[0], hedge=values[1])
+
+
+def one_process_bytes(surf):
+    g = surf.grid
+    return "".join(pricing.surface_rows(g.t, g.s, g.y, surf.values, surf.hedge)).encode()
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """Below-crossover surfaces take the forked path; returns the list of
+    part files forked so far."""
+    monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 0)
+    forked, fork_writer = [], _artifacts._fork_writer
+
+    def counted(part, chunks):
+        forked.append(part.name)
+        return fork_writer(part, chunks)
+
+    monkeypatch.setattr(_artifacts, "_fork_writer", counted)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSurfaceWriter:
+    @pytest.mark.parametrize(
+        "n_layers, n_age, k",
+        [(1, 0, 2), (2, 0, 1), (2, 3, 3), (5, 0, 2), (5, 2, 1), (6, 4, 3), (9, 1, 2)],
+    )
+    def test_bytes_equal_one_process(self, tmp_path, count_forks, n_layers, n_age, k):
+        surf = random_surface(n_layers, 7, n_age, k)
+        out = tmp_path / "surface.csv"
+        surf.to_csv(out)
+        assert out.read_bytes() == one_process_bytes(surf)
+        workers = min(len(os.sched_getaffinity(0)), n_layers)
+        assert len(count_forks) == workers - 1
+        assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_layers", [3, 4, 7])
+    def test_more_blocks_than_cpus(self, tmp_path, count_forks, monkeypatch, n_layers):
+        # one child per later layer, whatever the host's CPU count
+        surf = random_surface(n_layers, 5, 2, 3)
+        monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(a, a + 1) for a in range(n)])
+        out = tmp_path / "surface.csv"
+        surf.to_csv(out)
+        assert out.read_bytes() == one_process_bytes(surf)
+        assert len(count_forks) == n_layers - 1
+        assert_no_child_left()
+
+    def test_blocks_follow_cpus_layers_and_crossover(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        rows = _artifacts._FORK_MIN_ROWS
+        assert _artifacts.layer_blocks(40, 2 * rows - 1) == [(0, 40)]
+        assert len(_artifacts.layer_blocks(40, 2 * rows)) == min(cpus, 2)
+        assert len(_artifacts.layer_blocks(1, 100 * rows)) == 1
+        blocks = _artifacts.layer_blocks(7, 100 * rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == 7
+        assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+        beside = _artifacts._cpus_beside_this_thread()
+        assert beside and set(beside) <= os.sched_getaffinity(0)
+        assert len(beside) == max(cpus - 1, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _artifacts.layer_blocks(40, 100 * rows) == [(0, 40)]
+
+    def _old_file_then(self, tmp_path, monkeypatch, fail_in):
+        """Rewrite a surface with ``surface_rows`` failing in the parent's
+        block or a child's; checks that the old file and nothing else is
+        left, and no child, and returns the raised error."""
+        surf = random_surface(6, 9, 2, 2)
+        out = tmp_path / "surface.csv"
+        surf.to_csv(out)
+        before = out.read_bytes()
+        first_t, rows = surf.grid.t[0], pricing.surface_rows
+
+        def failing_rows(t, *args):
+            in_parent = t[0] == first_t
+            for n, chunk in enumerate(rows(t, *args)):
+                if n == 2 and in_parent == (fail_in == "parent"):
+                    raise OSError("disk full")
+                if not in_parent and fail_in == "parent":
+                    time.sleep(20)          # a child the parent must kill
+                yield chunk
+
+        monkeypatch.setattr(pricing, "surface_rows", failing_rows)
+        start = time.perf_counter()
+        with pytest.raises(OSError) as info:
+            surf.to_csv(out)
+        assert time.perf_counter() - start < 15.0
+        assert out.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
+        assert_no_child_left()
+        return info.value
+
+    def test_failed_child_fails_the_write(self, tmp_path, count_forks, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, 1), (1, n)])
+        err = self._old_file_then(tmp_path, monkeypatch, "child")
+        assert "failed (exit code 1)" in str(err)
+
+    def test_failure_in_the_parent_kills_the_children(self, tmp_path, count_forks, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, 1), (1, n)])
+        err = self._old_file_then(tmp_path, monkeypatch, "parent")
+        assert str(err) == "disk full"
+        assert count_forks
 
 
 class TestHedgeRatio:

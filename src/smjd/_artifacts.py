@@ -7,8 +7,8 @@ file is removed.  A command writes all its artifacts into a ``staging``
 directory and ``publish``es them together, its manifest last.  Tables are
 formatted with ``%.17g`` (round trip) and one ``%`` per block of rows.
 
-A large ``surface.csv`` is formatted by as many processes as there are
-usable CPUs: the later blocks of time layers go to children made with
+A large ``surface.csv`` is formatted by two processes where two CPUs are
+usable: the later half of its time layers goes to a child made with
 ``os.fork`` (``layer_blocks``, ``write_artifact``), and the bytes are
 those of one process.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import os
 import shutil
 import signal
@@ -25,82 +26,83 @@ from pathlib import Path
 
 import numpy as np
 
-#: rows of ``surface.csv`` each formatting process must have before a
-#: fork pays for itself (README, "File formats": the measured table)
+#: rows of ``surface.csv`` each of two formatting processes must have
+#: before a fork pays for itself (README, "File formats": the measured table)
 _FORK_MIN_ROWS = 5_000
 
 
 def layer_blocks(n_layers: int, n_rows: int) -> list[tuple[int, int]]:
     """Contiguous ``[a, b)`` blocks of ``n_layers`` time layers holding
-    ``n_rows`` rows in all, one per formatting process: as many as the
-    usable CPUs, the layers and ``n_rows // _FORK_MIN_ROWS`` allow, and one
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-        workers = max(1, min(cpus, n_layers, n_rows // max(_FORK_MIN_ROWS, 1)))
-    cuts = [n_layers * k // workers for k in range(workers + 1)]
-    return list(zip(cuts, cuts[1:]))
+    ``n_rows`` rows in all: two halves, the second for a forked child,
+    where ``os.fork`` is present, two CPUs are usable and each half holds
+    ``_FORK_MIN_ROWS`` rows; one block otherwise.  Two processes are all
+    that was measured (README, "File formats")."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not hasattr(os, "fork") or cpus < 2 or n_layers < 2 or n_rows < 2 * _FORK_MIN_ROWS:
+        return [(0, n_layers)]
+    return [(0, n_layers // 2), (n_layers // 2, n_layers)]
 
 
-def write_artifact(path, chunks, *forked) -> None:
+def write_artifact(path, chunks, forked=None) -> None:
     """Write the strings of ``chunks`` (any iterable, consumed once) to
-    ``path`` atomically, followed by those of each iterable in ``forked``
-    in order.  Each of these is consumed by its own child made with
-    ``os.fork``, which writes a part file beside the temporary file while
-    this process consumes ``chunks``; the parts are appended in order.  A
-    failed child fails the write with ``OSError``; on any failure every
-    child still running is killed and reaped."""
+    ``path`` atomically, followed by those of ``forked`` if given.  A
+    child made with ``os.fork`` consumes ``forked`` into a part file
+    beside the temporary file while this process consumes ``chunks``, and
+    the part is appended; where the fork fails, this process consumes
+    ``forked`` itself.  A failed child fails the write with ``OSError``;
+    on any failure a child still running is killed and reaped."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    parts = [tmp.with_name(f"{tmp.name}.{k}.part") for k in range(len(forked))]
-    pids = []
+    part = tmp.with_name(f"{tmp.name}.part")
+    pid = None
     try:
-        # each child goes to a CPU other than this thread's: a kernel that
-        # is slow to balance its run queues (seen on a 2-vCPU KVM guest)
-        # would run a short-lived child beside its parent
-        cpus = _cpus_beside_this_thread() if forked else []
-        for k, (part, rows) in enumerate(zip(parts, forked)):
-            pids.append(_fork_writer(part, rows))
-            with contextlib.suppress(OSError):  # the placement is a hint
-                os.sched_setaffinity(pids[-1], {cpus[k % len(cpus)]})
+        if forked is not None:
+            try:
+                pid = _fork_writer(part, forked)
+            except OSError:  # no process to be had (EAGAIN, ENOMEM, EPERM)
+                chunks = itertools.chain(chunks, forked)
+            else:
+                _place_beside_this_thread(pid)
         with open(tmp, "w", encoding="utf-8") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-            fh.flush()
-            for part in parts:
-                status = os.waitpid(pids[0], 0)[1]
-                pid = pids.pop(0)
+            if pid is not None:
+                fh.flush()
+                status = os.waitpid(pid, 0)[1]
+                child, pid = pid, None
                 if status:
                     raise OSError(
-                        f"the process {pid} formatting {part.name} failed "
+                        f"the process {child} formatting {part.name} failed "
                         f"(exit code {os.waitstatus_to_exitcode(status)})"
                     )
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
         os.replace(tmp, path)
     except BaseException:
-        for pid in pids:
+        if pid is not None:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         tmp.unlink(missing_ok=True)
         raise
     finally:
-        for part in parts:
-            part.unlink(missing_ok=True)
+        part.unlink(missing_ok=True)
 
 
-def _cpus_beside_this_thread() -> list[int]:
-    """The usable CPUs other than the one this thread runs on (field 39 of
-    ``/proc/thread-self/stat``), or all of them where that is unknown."""
-    cpus = sorted(os.sched_getaffinity(0))
-    try:
+def _place_beside_this_thread(pid: int) -> None:
+    """Where exactly two CPUs are usable, pin the child ``pid`` to the one
+    this thread is not on (field 39 of ``/proc/thread-self/stat``): a
+    kernel that is slow to balance its run queues (seen on a 2-vCPU KVM
+    guest) would run a short-lived child beside its parent.  With more
+    CPUs, or where this thread's CPU is unknown, the kernel places it."""
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) != 2:
+        return
+    # the placement is a hint: any failure leaves it to the kernel
+    with contextlib.suppress(OSError, ValueError, IndexError):
         with open("/proc/thread-self/stat", encoding="ascii") as fh:
             here = int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return cpus
-    return [c for c in cpus if c != here] or cpus
+        os.sched_setaffinity(pid, cpus - {here})
 
 
 def _fork_writer(part: Path, chunks) -> int:

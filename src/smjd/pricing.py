@@ -657,8 +657,9 @@ class PriceSurface:
         return float(self.value_at(t, s, x, y))
 
     def to_csv(self, path) -> None:
-        """Rows ``t,s,regime,y,price,xi`` over the full grid; each block of
-        time layers after the first is formatted by a forked process."""
+        """Rows ``t,s,regime,y,price,xi`` over the full grid; on a large
+        grid the later half of the time layers is formatted by a forked
+        process."""
         g = self.grid
         first, *later = (
             surface_rows(g.t[a:b], g.s, g.y, self.values[a:b], self.hedge[a:b])

@@ -9,6 +9,7 @@ byte for byte.
 
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -449,13 +450,37 @@ class TestPrice:
         monkeypatch.setattr(_artifacts, "_fork_writer", counted)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
-        assert len(forked) == min(len(os.sched_getaffinity(0)), 5) - 1
+        assert len(forked) == min(len(os.sched_getaffinity(0)), 2) - 1
         monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 10**9)
         assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
-        assert len(forked) == min(len(os.sched_getaffinity(0)), 5) - 1
+        assert len(forked) == min(len(os.sched_getaffinity(0)), 2) - 1
         assert (out_a / "surface.csv").read_bytes() == (out_b / "surface.csv").read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_still_writes_the_surface(
+        self, write_config, tmp_path, capsys, monkeypatch
+    ):
+        # no process to be had: the parent formats every layer, exit 0
+        cfg = write_config(base_config(grid={"n_time": 8, "n_space": 301, "n_age": 4}))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 10**9)
+        assert main(["price", "--config", str(cfg), "--out", str(out_a)]) == 0
+        monkeypatch.setattr(_artifacts, "_FORK_MIN_ROWS", 0)
+        monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, n // 2), (n // 2, n)])
+        calls = []
+
+        def no_fork():
+            calls.append(1)
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(_artifacts.os, "fork", no_fork)
+        capsys.readouterr()
+        assert main(["price", "--config", str(cfg), "--out", str(out_b)]) == 0
+        assert calls == [1]
+        assert capsys.readouterr().err == ""
+        assert (out_a / "surface.csv").read_bytes() == (out_b / "surface.csv").read_bytes()
+        assert sorted(p.name for p in out_a.iterdir()) == sorted(p.name for p in out_b.iterdir())
 
     def test_failed_surface_child_exits_three_and_keeps_the_old_run(
         self, write_config, tmp_path, capsys, monkeypatch
@@ -471,7 +496,7 @@ class TestPrice:
         rows = pricing.surface_rows
 
         def fail_after_t0(t, *args):
-            # fails only in the blocks of the forked children
+            # fails only in the forked child's half
             for chunk in rows(t, *args):
                 if t[0] > 0.0:
                     raise OSError("disk full")

@@ -16,6 +16,8 @@ Black-Scholes call (S = K = 100, r = 0.05, sigma = 0.2, T = 1):
     10.450583572185565
 """
 
+import errno
+import io
 import math
 import os
 import time
@@ -894,6 +896,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def two_blocks(monkeypatch):
+    """The forked path, whatever the host's CPU count."""
+    monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, n // 2), (n // 2, n)])
+
+
 class TestForkedSurfaceWriter:
     @pytest.mark.parametrize(
         "n_layers, n_age, k",
@@ -904,36 +911,68 @@ class TestForkedSurfaceWriter:
         out = tmp_path / "surface.csv"
         surf.to_csv(out)
         assert out.read_bytes() == one_process_bytes(surf)
-        workers = min(len(os.sched_getaffinity(0)), n_layers)
-        assert len(count_forks) == workers - 1
+        forks = len(os.sched_getaffinity(0)) >= 2 and n_layers >= 2
+        assert len(count_forks) == forks
         assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("n_layers", [3, 4, 7])
-    def test_more_blocks_than_cpus(self, tmp_path, count_forks, monkeypatch, n_layers):
-        # one child per later layer, whatever the host's CPU count
+    @pytest.mark.parametrize("n_layers, split", [(3, 0), (3, 1), (4, 3), (7, 7)])
+    def test_any_split_point(self, tmp_path, count_forks, monkeypatch, n_layers, split):
+        # an empty block, either side, holds no rows; the header is the first's
         surf = random_surface(n_layers, 5, 2, 3)
-        monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(a, a + 1) for a in range(n)])
+        monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, split), (split, n)])
         out = tmp_path / "surface.csv"
         surf.to_csv(out)
         assert out.read_bytes() == one_process_bytes(surf)
-        assert len(count_forks) == n_layers - 1
+        assert len(count_forks) == 1
+        assert_no_child_left()
+
+    def test_failed_fork_leaves_the_rows_to_the_parent(self, tmp_path, monkeypatch):
+        # no process to be had: the parent formats the child's half itself
+        surf = random_surface(6, 9, 2, 2)
+        two_blocks(monkeypatch)
+
+        calls = []
+
+        def no_fork():
+            calls.append(1)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(_artifacts.os, "fork", no_fork)
+        out = tmp_path / "surface.csv"
+        surf.to_csv(out)
+        assert calls == [1]
+        assert out.read_bytes() == one_process_bytes(surf)
+        assert [f.name for f in tmp_path.iterdir()] == ["surface.csv"]
         assert_no_child_left()
 
     def test_blocks_follow_cpus_layers_and_crossover(self, monkeypatch):
-        cpus = len(os.sched_getaffinity(0))
+        two = len(os.sched_getaffinity(0)) >= 2
         rows = _artifacts._FORK_MIN_ROWS
         assert _artifacts.layer_blocks(40, 2 * rows - 1) == [(0, 40)]
-        assert len(_artifacts.layer_blocks(40, 2 * rows)) == min(cpus, 2)
-        assert len(_artifacts.layer_blocks(1, 100 * rows)) == 1
-        blocks = _artifacts.layer_blocks(7, 100 * rows)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 7
-        assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
-        beside = _artifacts._cpus_beside_this_thread()
-        assert beside and set(beside) <= os.sched_getaffinity(0)
-        assert len(beside) == max(cpus - 1, 1)
+        assert _artifacts.layer_blocks(40, 2 * rows) == ([(0, 20), (20, 40)] if two else [(0, 40)])
+        assert _artifacts.layer_blocks(7, 100 * rows) == ([(0, 3), (3, 7)] if two else [(0, 7)])
+        assert _artifacts.layer_blocks(1, 100 * rows) == [(0, 1)]
+        # no more than two processes, however many CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert _artifacts.layer_blocks(40, 100 * rows) == [(0, 20), (20, 40)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _artifacts.layer_blocks(40, 100 * rows) == [(0, 40)]
         monkeypatch.delattr(os, "sched_getaffinity")
         assert _artifacts.layer_blocks(40, 100 * rows) == [(0, 40)]
+
+    @pytest.mark.parametrize(
+        "cpus, pin", [({39, 40}, {40}), ({7, 39}, {7}), ({0}, None), ({39, 40, 41}, None)]
+    )
+    def test_child_is_pinned_only_beside_one_other_cpu(self, monkeypatch, cpus, pin):
+        # a stat line whose field 39, the CPU this thread last ran on, reads 39
+        stat = "1 (a b) " + " ".join(str(n) for n in range(3, 53))
+        monkeypatch.setattr(_artifacts, "open", lambda *a, **k: io.StringIO(stat), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        pinned = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(mask))
+        _artifacts._place_beside_this_thread(12345)
+        assert pinned == ([] if pin is None else [pin])
 
     def _old_file_then(self, tmp_path, monkeypatch, fail_in):
         """Rewrite a surface with ``surface_rows`` failing in the parent's
@@ -965,14 +1004,12 @@ class TestForkedSurfaceWriter:
         return info.value
 
     def test_failed_child_fails_the_write(self, tmp_path, count_forks, monkeypatch):
-        if len(os.sched_getaffinity(0)) < 2:
-            monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, 1), (1, n)])
+        two_blocks(monkeypatch)
         err = self._old_file_then(tmp_path, monkeypatch, "child")
         assert "failed (exit code 1)" in str(err)
 
-    def test_failure_in_the_parent_kills_the_children(self, tmp_path, count_forks, monkeypatch):
-        if len(os.sched_getaffinity(0)) < 2:
-            monkeypatch.setattr(pricing, "layer_blocks", lambda n, rows: [(0, 1), (1, n)])
+    def test_failure_in_the_parent_kills_the_child(self, tmp_path, count_forks, monkeypatch):
+        two_blocks(monkeypatch)
         err = self._old_file_then(tmp_path, monkeypatch, "parent")
         assert str(err) == "disk full"
         assert count_forks

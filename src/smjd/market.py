@@ -432,33 +432,30 @@ def check_no_arbitrage(model: MarketModel) -> NoArbitrageReport:
 
 @dataclass
 class PathRecord:
-    """One simulated path with its event decomposition.
+    """One simulated path: its rows, its Brownian increments and its
+    integrated short rate.
 
     Rows (``times``, ``spot``, ``regime``, ``age``, ``events``, ``z_marks``)
     record the path at ``t = 0``, each regime switch, each jump (after the
-    multiplier is applied), each requested recording time, and the horizon.
-    Segment arrays carry the continuous pieces between consecutive events:
-    the prevailing regime and the Brownian increment.  ``int_r`` is the
-    integrated short rate along the path.
+    multiplier is applied), each requested recording time, and the horizon;
+    the first row holds the start state and the last the horizon.
+    ``seg_dw`` holds the Brownian increment of each segment and ``int_r``
+    the integrated short rate along the path.
+
+    The rest is read from the rows.  A segment starts at each row whose
+    next row comes later, ``seg = (times[1:] > times[:-1]).nonzero()[0]``,
+    and runs from ``times[seg]`` to ``times[seg + 1]`` in regime
+    ``regime[seg]``.  A jump is a row that carries a mark (``z_marks`` is
+    NaN elsewhere), in the regime of that row.
     """
 
-    s0: float
-    x0: int
-    y0: float
-    horizon: float
     times: np.ndarray
     spot: np.ndarray
     regime: np.ndarray
     age: np.ndarray
     events: np.ndarray
     z_marks: np.ndarray
-    seg_t0: np.ndarray
-    seg_t1: np.ndarray
-    seg_state: np.ndarray
     seg_dw: np.ndarray
-    jump_t: np.ndarray
-    jump_state: np.ndarray
-    jump_z: np.ndarray
     int_r: float
 
     def to_csv(self, path) -> None:
@@ -511,11 +508,13 @@ def simulate_asset_path(
 
     Raises
     ------
+    ValueError
+        If ``s0`` is not positive and finite.
     OverflowError
         If the spot leaves the floating-point range before the horizon.
     """
-    if s0 <= 0:
-        raise ValueError("spot must start positive")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError("spot must start positive and finite")
     T = model.horizon
     regime = simulate_regime_path(model.rates, x0, y0, T, rng)
 
@@ -556,7 +555,6 @@ def simulate_asset_path(
     kind[1:a] = 0
     kind[a:b] = 1
     kind[b:] = 2
-    jump_t = times[a:b]  # the epochs, in the buffer the sort leaves as is
     order = times.argsort(kind="stable")
     times = times[order]
     kind = kind[order]
@@ -573,12 +571,10 @@ def simulate_asset_path(
 
     # a segment runs from each row to the next row at a later time, in the
     # regime of its first row
-    gap = times[1:] - times[:-1]
-    seg = (gap > 0.0).nonzero()[0]
-    seg_t0 = times[seg]
-    seg_t1 = times[1:][seg]
+    seg = (times[1:] > times[:-1]).nonzero()[0]
     seg_state = row_state[seg]
-    dt = gap[seg]
+    t0, t1 = times[seg], times[seg + 1]
+    dt = t1 - t0
 
     if model.sigma_values is not None:
         # the scalar square of sigma_sq_integral: ``v ** 2`` on a numpy
@@ -587,12 +583,8 @@ def simulate_asset_path(
         sig2 = np.array([float(v ** 2) for v in model.sigma_values])
         var = sig2[seg_state] * dt
     else:
-        var = np.array(
-            [
-                model.sigma_sq_integral(t0, t1, i)
-                for t0, t1, i in zip(seg_t0.tolist(), seg_t1.tolist(), seg_state.tolist())
-            ]
-        )
+        segs = zip(t0.tolist(), t1.tolist(), seg_state.tolist())
+        var = np.array([model.sigma_sq_integral(*piece) for piece in segs])
     xi = rng.standard_normal(seg.size)
     dln = model.mu[seg_state] * dt - 0.5 * var + np.sqrt(var) * xi
 
@@ -616,23 +608,13 @@ def simulate_asset_path(
     z_marks.fill(math.nan)
     z_marks[jump_rows] = jump_z
     return PathRecord(
-        s0=s0,
-        x0=x0,
-        y0=y0,
-        horizon=T,
         times=times,
         spot=spot,
         regime=row_state,
         age=row_age,
         events=_EVENT_KINDS[kind],
         z_marks=z_marks,
-        seg_t0=seg_t0,
-        seg_t1=seg_t1,
-        seg_state=seg_state,
         seg_dw=xi * np.sqrt(dt),
-        jump_t=jump_t,
-        jump_state=row_state[jump_rows],
-        jump_z=jump_z,
         # cumsum adds in order, as the loop did; np.sum adds pairwise
         int_r=(model.r[seg_state] * dt).cumsum()[-1],
     )
@@ -653,14 +635,18 @@ def radon_nikodym_path(model: MarketModel, path: PathRecord) -> float:
         If a jump tilt is nonpositive (inadmissible measure change).
     """
     int_eta = model.ints.int_eta
+    times, regime, marks = path.times.tolist(), path.regime.tolist(), path.z_marks.tolist()
+    seg = (path.times[1:] > path.times[:-1]).nonzero()[0].tolist()
     lnz = 0.0
-    for t0, t1, i, dw in zip(path.seg_t0, path.seg_t1, path.seg_state, path.seg_dw):
-        ratio = float(model.j_ratio(t0, int(i)))
-        phi = ratio * float(model.sigma(t0, int(i)))
-        dt = t1 - t0
+    for k, dw in zip(seg, path.seg_dw.tolist()):
+        t0, i = times[k], regime[k]
+        ratio = float(model.j_ratio(t0, i))
+        phi = ratio * float(model.sigma(t0, i))
+        dt = times[k + 1] - t0
         lnz += phi * dw - 0.5 * phi * phi * dt - ratio * int_eta * dt
-    for t, i, z in zip(path.jump_t, path.jump_state, path.jump_z):
-        gamma = 1.0 + float(model.j_ratio(t, int(i))) * float(model.jump.eta_at(z))
+    for k in (~np.isnan(path.z_marks)).nonzero()[0].tolist():
+        t, i, z = times[k], regime[k], marks[k]
+        gamma = 1.0 + float(model.j_ratio(t, i)) * float(model.jump.eta_at(z))
         if gamma <= 0.0:
             raise ValueError(
                 f"nonpositive jump tilt at t={t:.6g}, z={z:.6g}: measure change inadmissible"

@@ -208,8 +208,8 @@ def price_mc_q(
     McEstimate
         Discounted sample mean with standard error.
     """
-    if s0 <= 0:
-        raise ValueError("spot must start positive")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError("spot must start positive and finite")
     _require_sample(n_paths, level)
     _require_admissible(model)
     ratios = bounds = None
@@ -243,8 +243,8 @@ def price_mc_p_weighted(
     converge than :func:`price_mc_q` when the density is dispersed, but it
     exercises the density computation end to end.
     """
-    if s0 <= 0:
-        raise ValueError("spot must start positive")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError("spot must start positive and finite")
     _require_sample(n_paths, level)
     _require_admissible(model)
     vals = np.empty(n_paths)

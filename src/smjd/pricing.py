@@ -611,7 +611,12 @@ class PriceSurface:
         n0 = int(np.clip(np.floor(pos), 0, grid.t.size - 2))
         wt = float(np.clip(pos - n0, 0.0, 1.0))
         s = np.asarray(s, dtype=float)
-        x = np.asarray(x, dtype=int)
+        x = np.asarray(x)
+        if x.dtype.kind not in "iu":    # a fractional index would truncate
+            with np.errstate(invalid="ignore"):
+                x, given = x.astype(int), x
+            if np.any(x != given):
+                raise ValueError("regime index must be an integer")
         y = np.asarray(y, dtype=float)
         s, x, y = np.broadcast_arrays(s, x, y)
         # negative indices would silently wrap to the last regimes

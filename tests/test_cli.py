@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_market import loop_simulate_asset_path
+from shared import loop_path_record
 
 from smjd import _artifacts, cli, pricing
 from smjd.cli import main
@@ -204,7 +204,7 @@ class TestSimulate:
         config = write_config(cfg)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(config), "--out", str(out_a)]) == 0
-        monkeypatch.setattr(cli, "simulate_asset_path", loop_simulate_asset_path)
+        monkeypatch.setattr(cli, "simulate_asset_path", loop_path_record)
         assert main(["simulate", "--config", str(config), "--out", str(out_b)]) == 0
         names = sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
         assert names == sorted(p.name for p in out_b.iterdir() if p.name != "manifest.json")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
+from shared import benchmark_model, bs_call, empty_jump, make_jump
 
 from smjd.fd import explicit_gain, solve_price_fd
 from smjd.market import EtaClamp, JumpSpec, MarketModel
@@ -24,37 +25,6 @@ from smjd.pricing import (
 from smjd.regimes import ConstantRate, RateSpec, WeibullRate
 
 BS_CALL_ATM = 10.450583572185565
-
-
-def bs_call(s, k, r, sigma, t):
-    d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * t) / (sigma * np.sqrt(t))
-    d2 = d1 - sigma * np.sqrt(t)
-    return s * norm.cdf(d1) - k * np.exp(-r * t) * norm.cdf(d2)
-
-
-def make_jump(n=201):
-    return JumpSpec.from_density(
-        lambda z: np.ones_like(z), (-0.5, 1.0), n, EtaClamp(1.0, -0.5, 1.0)
-    )
-
-
-def empty_jump():
-    return JumpSpec(np.empty(0), np.empty(0), EtaClamp(1.0, -0.5, 1.0))
-
-
-def benchmark_model():
-    rates = RateSpec(
-        n_states=2,
-        rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)},
-    )
-    return MarketModel(
-        rates=rates,
-        r=[0.05, 0.05],
-        mu=[0.08, 0.05],
-        jump=make_jump(),
-        horizon=1.0,
-        sigma_values=[0.2, 0.3],
-    )
 
 
 @pytest.fixture(scope="module")

@@ -19,14 +19,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_regimes import age_at, state_at
+from shared import (
+    benchmark_model,
+    loop_path_record,
+    loop_simulate_asset_path,
+    make_jump,
+    sigma_table_model,
+    weibull_model,
+)
 
 from smjd import market
 from smjd.market import (
@@ -41,21 +47,12 @@ from smjd.market import (
     radon_nikodym_path,
     simulate_asset_path,
 )
-from smjd.regimes import RegimePath, rate_spec_from_dict, simulate_regime_path
+from smjd.regimes import RegimePath, rate_spec_from_dict
 
 INT_ETA = 0.375
 INT_ETA2 = 0.375
 MASS = 1.5
 C_RATE = 0.75
-
-
-def make_jump(n: int = 201) -> JumpSpec:
-    return JumpSpec.from_density(
-        density=lambda z: np.ones_like(z),
-        interval=(-0.5, 1.0),
-        n=n,
-        eta=EtaClamp(slope=1.0, lo=-0.5, hi=1.0),
-    )
 
 
 def single_regime_model(mu: float = 0.08, jump: JumpSpec | None = None) -> MarketModel:
@@ -66,26 +63,6 @@ def single_regime_model(mu: float = 0.08, jump: JumpSpec | None = None) -> Marke
         mu=np.array([mu]),
         sigma_values=np.array([0.2]),
         jump=jump if jump is not None else make_jump(),
-        horizon=1.0,
-    )
-
-
-def two_regime_model() -> MarketModel:
-    rates = rate_spec_from_dict(
-        {
-            "states": 2,
-            "rates": [
-                {"from": 0, "to": 1, "family": "constant", "params": {"rate": 1.0}},
-                {"from": 1, "to": 0, "family": "constant", "params": {"rate": 1.0}},
-            ],
-        }
-    )
-    return MarketModel(
-        rates=rates,
-        r=np.array([0.05, 0.05]),
-        mu=np.array([0.08, 0.05]),
-        sigma_values=np.array([0.2, 0.3]),
-        jump=make_jump(),
         horizon=1.0,
     )
 
@@ -170,7 +147,7 @@ class TestNoArbitrage:
         assert report.worst_margin == pytest.approx(expected, abs=1e-9)
 
     def test_two_regime_benchmark_passes(self):
-        report = check_no_arbitrage(two_regime_model())
+        report = check_no_arbitrage(benchmark_model())
         assert report.passed
         assert report.worst_margin > 0.0
 
@@ -200,7 +177,7 @@ class TestNoArbitrage:
         assert m.tilt_times(0.0, 1.0).tolist() == [0.0, 0.4, 1.0]
         assert m.tilt_times(0.1, 0.4).tolist() == [0.1, 0.4]
         assert m.tilt_times(0.5, 0.7).tolist() == [0.5, 0.7]
-        assert two_regime_model().tilt_times(0.3, 0.9).tolist() == [0.3]
+        assert benchmark_model().tilt_times(0.3, 0.9).tolist() == [0.3]
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +220,38 @@ class TestMmmCoefficients:
 # ---------------------------------------------------------------------------
 
 
+def row_segments(path: PathRecord):
+    """Start times, end times and regimes of the segments, read from the rows."""
+    seg = (path.times[1:] > path.times[:-1]).nonzero()[0]
+    return path.times[seg], path.times[seg + 1], path.regime[seg]
+
+
+def row_jumps(path: PathRecord):
+    """Times, regimes and marks of the jumps: the rows that carry a mark."""
+    rows = (~np.isnan(path.z_marks)).nonzero()[0]
+    return path.times[rows], path.regime[rows], path.z_marks[rows]
+
+
 class TestAssetPath:
     def test_internal_consistency(self):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(42)
         for _ in range(50):
             path = simulate_asset_path(model, s0=100.0, x0=0, y0=0.0, rng=rng)
             assert np.all(path.spot > 0.0)
             # terminal spot reconstructs from the Brownian increments of
             # the segments and the jump multipliers
-            dt = path.seg_t1 - path.seg_t0
-            sig = np.asarray(model.sigma_values)[path.seg_state]
-            dln = model.mu[path.seg_state] * dt - 0.5 * sig**2 * dt + sig * path.seg_dw
+            t0, t1, state = row_segments(path)
+            dt = t1 - t0
+            sig = np.asarray(model.sigma_values)[state]
+            dln = model.mu[state] * dt - 0.5 * sig**2 * dt + sig * path.seg_dw
             s_rebuilt = 100.0 * math.exp(np.sum(dln)) * np.prod(
-                1.0 + model.jump.eta_at(path.jump_z)
+                1.0 + model.jump.eta_at(row_jumps(path)[2])
             )
             assert path.spot[-1] == pytest.approx(s_rebuilt, rel=1e-12)
 
     def test_requested_grid_recorded(self):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(1)
         grid = np.linspace(0.0, 1.0, 5)
         path = simulate_asset_path(model, 100.0, 0, 0.0, rng, record_times=grid)
@@ -270,7 +260,7 @@ class TestAssetPath:
             assert np.any(np.isclose(recorded, t))
 
     def test_age_resets_at_regime_rows(self):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(3)
         for _ in range(20):
             path = simulate_asset_path(model, 100.0, 0, 0.0, rng)
@@ -279,7 +269,7 @@ class TestAssetPath:
                 assert np.all(path.age[switch] == 0.0)
 
     def test_deterministic_given_seed(self):
-        model = two_regime_model()
+        model = benchmark_model()
         a = simulate_asset_path(model, 100.0, 0, 0.0, np.random.default_rng(7))
         b = simulate_asset_path(model, 100.0, 0, 0.0, np.random.default_rng(7))
         np.testing.assert_array_equal(a.spot, b.spot)
@@ -305,13 +295,13 @@ class TestAssetPath:
         stat = np.empty(n)
         for m in range(n):
             path = simulate_asset_path(model, 100.0, 0, 0.0, rng)
-            stat[m] = np.prod((1.0 + model.jump.eta_at(path.jump_z)) ** 2)
+            stat[m] = np.prod((1.0 + model.jump.eta_at(row_jumps(path)[2])) ** 2)
         target = math.exp(C_RATE * MASS * 1.0)
         se = stat.std(ddof=1) / math.sqrt(n)
         assert abs(stat.mean() - target) < 3.0 * se
 
     def test_csv_round_trip(self, tmp_path):
-        model = two_regime_model()
+        model = benchmark_model()
         path = simulate_asset_path(
             model, 100.0, 0, 0.0, np.random.default_rng(5), record_times=np.linspace(0, 1, 11)
         )
@@ -323,7 +313,7 @@ class TestAssetPath:
         np.testing.assert_allclose(data["S"], path.spot, rtol=1e-15)
 
     def test_csv_bytes_equal_the_row_writer(self, tmp_path):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(0)
         path = simulate_asset_path(model, 100.0, 0, 0.0, rng, record_times=np.linspace(0, 1, 11))
         assert {"grid", "regime", "jump"} <= set(path.events.tolist())
@@ -344,101 +334,6 @@ class TestAssetPath:
 # ---------------------------------------------------------------------------
 
 
-def loop_simulate_asset_path(
-    model: MarketModel,
-    s0: float,
-    x0: int,
-    y0: float,
-    rng: np.random.Generator,
-    record_times=None,
-) -> PathRecord:
-    """The per-event loop the array simulator replaced: the oracle of its
-    draws and of every field of the record, bit for bit."""
-    if s0 <= 0:
-        raise ValueError("spot must start positive")
-    T = model.horizon
-    regime = simulate_regime_path(model.rates, x0, y0, T, rng)
-
-    mass = model.ints.mass
-    jump_times: list[float] = []
-    if mass > 0:
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / mass)
-            if t >= T:
-                break
-            jump_times.append(t)
-    n_jumps = len(jump_times)
-    if n_jumps:
-        cdf = np.cumsum(model.jump.w) / mass
-        idx = np.minimum(np.searchsorted(cdf, rng.random(n_jumps)), cdf.size - 1)
-        jump_z = model.jump.z[idx]
-    else:
-        jump_z = np.empty(0)
-
-    # merged event timeline
-    kinds: dict[float, list] = {}
-    for tt in regime.times:
-        kinds.setdefault(float(tt), []).append(("regime", math.nan))
-    for tt, zz in zip(jump_times, jump_z):
-        kinds.setdefault(float(tt), []).append(("jump", float(zz)))
-    if record_times is not None:
-        for tt in np.asarray(record_times, dtype=float):
-            if 0.0 < tt < T:
-                kinds.setdefault(float(tt), []).append(("grid", math.nan))
-    kinds.setdefault(T, []).append(("grid", math.nan))
-
-    rows = [(0.0, s0, x0, y0, "grid", math.nan)]
-    seg_t0, seg_t1, seg_state, seg_dw = [], [], [], []
-    jump_state = []
-    s = s0
-    t_prev = 0.0
-    int_r = 0.0
-    for t_k in sorted(kinds):
-        state = state_at(regime, t_prev)
-        dt = t_k - t_prev
-        if dt > 0:
-            var = model.sigma_sq_integral(t_prev, t_k, state)
-            xi = rng.standard_normal()
-            dln = (model.mu[state] - 0.0) * dt - 0.5 * var + math.sqrt(var) * xi
-            s *= math.exp(dln)
-            int_r += model.r[state] * dt
-            seg_t0.append(t_prev)
-            seg_t1.append(t_k)
-            seg_state.append(state)
-            seg_dw.append(xi * math.sqrt(dt))
-        for kind, zz in sorted(kinds[t_k], key=lambda p: {"regime": 0, "jump": 1, "grid": 2}[p[0]]):
-            if kind == "jump":
-                s *= 1.0 + float(model.jump.eta_at(zz))
-                jump_state.append(state_at(regime, t_k))
-            rows.append(
-                (t_k, s, state_at(regime, t_k), age_at(regime, t_k), kind, zz)
-            )
-        t_prev = t_k
-
-    times = np.array([r[0] for r in rows])
-    return PathRecord(
-        s0=s0,
-        x0=x0,
-        y0=y0,
-        horizon=T,
-        times=times,
-        spot=np.array([r[1] for r in rows]),
-        regime=np.array([r[2] for r in rows], dtype=int),
-        age=np.array([r[3] for r in rows]),
-        events=np.array([r[4] for r in rows], dtype=object),
-        z_marks=np.array([r[5] for r in rows]),
-        seg_t0=np.asarray(seg_t0),
-        seg_t1=np.asarray(seg_t1),
-        seg_state=np.asarray(seg_state, dtype=int),
-        seg_dw=np.asarray(seg_dw),
-        jump_t=np.asarray(jump_times),
-        jump_state=np.asarray(jump_state, dtype=int),
-        jump_z=np.asarray(jump_z),
-        int_r=int_r,
-    )
-
-
 def assert_same_path(got: PathRecord, want: PathRecord) -> None:
     """Every field equal bit for bit, with the same dtype."""
     for field in dataclasses.fields(PathRecord):
@@ -452,39 +347,6 @@ def assert_same_path(got: PathRecord, want: PathRecord) -> None:
         else:
             assert type(a) is type(b), field.name
             assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
-
-
-def weibull_model() -> MarketModel:
-    rates = rate_spec_from_dict(
-        {
-            "states": 3,
-            "rates": [
-                {"from": i, "to": (i + 1) % 3, "family": "weibull",
-                 "params": {"scale": scale, "shape": 1.5}}
-                for i, scale in enumerate((1.2, 0.9, 1.5))
-            ],
-        }
-    )
-    return MarketModel(
-        rates=rates,
-        r=np.array([0.05, 0.03, 0.04]),
-        mu=np.array([0.08, 0.02, 0.05]),
-        sigma_values=np.array([0.2, 0.3, 0.25]),
-        jump=make_jump(),
-        horizon=1.0,
-    )
-
-
-def sigma_table_model() -> MarketModel:
-    model = two_regime_model()
-    return MarketModel(
-        rates=model.rates,
-        r=model.r,
-        mu=model.mu,
-        sigma_table=(np.array([0.0, 0.4, 1.0]), np.array([[0.2, 0.35, 0.25], [0.3, 0.2, 0.4]])),
-        jump=model.jump,
-        horizon=1.0,
-    )
 
 
 def mixed_family_model() -> MarketModel:
@@ -511,7 +373,7 @@ def mixed_family_model() -> MarketModel:
 
 
 def jump_free_model() -> MarketModel:
-    model = two_regime_model()
+    model = benchmark_model()
     return MarketModel(
         rates=model.rates,
         r=model.r,
@@ -523,7 +385,7 @@ def jump_free_model() -> MarketModel:
 
 
 PATH_MODELS = {
-    "markov": two_regime_model,
+    "markov": benchmark_model,
     "weibull": weibull_model,
     "sigma-table": sigma_table_model,
     "mixed-family": mixed_family_model,
@@ -552,7 +414,7 @@ class TestArraySimulatorOracle:
             y0 = 0.1 * (seed % 3)
             args = (model, 100.0, x0, y0)
             got = simulate_asset_path(*args, np.random.default_rng(seed), times)
-            want = loop_simulate_asset_path(*args, np.random.default_rng(seed), times)
+            want = loop_path_record(*args, np.random.default_rng(seed), times)
             assert_same_path(got, want)
 
     @pytest.mark.parametrize("name", ["markov", "weibull", "sigma-table", "mixed-family"])
@@ -569,7 +431,7 @@ class TestArraySimulatorOracle:
             times = np.concatenate((epochs, [0.5, epochs[0]]))
             args = (model, 100.0, 0, 0.0)
             got = simulate_asset_path(*args, np.random.default_rng(seed), times)
-            want = loop_simulate_asset_path(*args, np.random.default_rng(seed), times)
+            want = loop_path_record(*args, np.random.default_rng(seed), times)
             assert_same_path(got, want)
             shared = got.times[got.events == "grid"]
             for kind in seen:
@@ -584,19 +446,51 @@ class TestArraySimulatorOracle:
             return RegimePath(x0, y0, horizon, np.array([0.0, 0.4]), np.array([1, 0]))
 
         monkeypatch.setattr(market, "simulate_regime_path", regime_path)
-        monkeypatch.setattr(sys.modules[__name__], "simulate_regime_path", regime_path)
-        model = two_regime_model()
+        monkeypatch.setattr("shared.simulate_regime_path", regime_path)
+        model = benchmark_model()
         args = (model, 100.0, 0, y0)
         got = simulate_asset_path(*args, np.random.default_rng(3), [0.0, 0.4, 0.7])
-        want = loop_simulate_asset_path(*args, np.random.default_rng(3), [0.0, 0.4, 0.7])
+        want = loop_path_record(*args, np.random.default_rng(3), [0.0, 0.4, 0.7])
         assert_same_path(got, want)
-        assert got.regime[:2].tolist() == [0, 1] and got.seg_state[0] == 1
+        assert got.regime[:2].tolist() == [0, 1] and row_segments(got)[2][0] == 1
+
+    @pytest.mark.parametrize("record", ["none", "linspace", "duplicates", "ends"])
+    @pytest.mark.parametrize("name", list(PATH_MODELS))
+    def test_row_views_equal_the_loop_lists(self, name, record):
+        # the segments and jumps read from the rows are the loop's own, bit
+        # for bit, and the density is the one summed over the loop's lists
+        model = PATH_MODELS[name]()
+        times = RECORD_TIMES[record]
+        int_eta = model.ints.int_eta
+        for seed in range(40):
+            args = (model, 100.0, seed % model.n_states, 0.1 * (seed % 3))
+            got = simulate_asset_path(*args, np.random.default_rng(seed), times)
+            want, segments, jumps = loop_simulate_asset_path(
+                *args, np.random.default_rng(seed), times
+            )
+            for view, rows in ((row_segments(got), segments), (row_jumps(got), jumps)):
+                assert view[0].size == len(rows)
+                for col, entries in zip(view, zip(*rows)):
+                    assert col.tobytes() == np.array(entries, dtype=col.dtype).tobytes()
+            lnz = 0.0
+            for (t0, t1, i), dw in zip(segments, want.seg_dw.tolist()):
+                ratio = float(model.j_ratio(t0, i))
+                phi = ratio * float(model.sigma(t0, i))
+                lnz += phi * dw - 0.5 * phi * phi * (t1 - t0) - ratio * int_eta * (t1 - t0)
+            for t, i, z in jumps:
+                lnz += math.log(1.0 + float(model.j_ratio(t, i)) * float(model.jump.eta_at(z)))
+            assert radon_nikodym_path(model, got) == math.exp(lnz)
 
     def test_rejects_what_the_loop_rejects(self):
-        model = two_regime_model()
+        model = benchmark_model()
         for args in ((0.0, 0, 0.0), (100.0, 2, 0.0), (100.0, 0, -1.0)):
             with pytest.raises(ValueError):
                 simulate_asset_path(model, *args, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s0", [math.nan, math.inf])
+    def test_non_finite_spot_rejected(self, s0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_asset_path(benchmark_model(), s0, 0, 0.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +513,7 @@ class TestRadonNikodym:
             assert z == pytest.approx(math.exp(phi * w_t - 0.5 * phi * phi), rel=1e-12)
 
     def test_unit_mean(self):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(321)
         n = 20_000
         z = np.array(
@@ -629,7 +523,7 @@ class TestRadonNikodym:
         assert abs(z.mean() - 1.0) < 3.0 * se
 
     def test_reweighted_discounted_spot_is_martingale(self):
-        model = two_regime_model()
+        model = benchmark_model()
         rng = np.random.default_rng(777)
         n = 20_000
         stat = np.empty(n)
@@ -717,8 +611,8 @@ class TestSigmaTable:
 
 
 def test_model_dict_round_trip():
-    # the dict form of two_regime_model parses to the same model
-    model = two_regime_model()
+    # the dict form of benchmark_model parses to the same model
+    model = benchmark_model()
     clone = market_model_from_dict(
         {
             "regimes": {

@@ -13,10 +13,16 @@ import math
 import numpy as np
 import pytest
 from scipy.stats import norm
-from test_market import loop_simulate_asset_path, sigma_table_model, weibull_model
+from shared import (
+    benchmark_model,
+    empty_jump,
+    loop_path_record,
+    sigma_table_model,
+    weibull_model,
+)
 
 from smjd import mc
-from smjd.market import EtaClamp, JumpSpec, MarketModel
+from smjd.market import MarketModel
 from smjd.mc import (
     McEstimate,
     _child_rngs,
@@ -27,34 +33,9 @@ from smjd.mc import (
 )
 from smjd.payoffs import Payoff
 from smjd.pricing import build_grid, solve_price
-from smjd.regimes import ConstantRate, RateSpec, simulate_regime_path
+from smjd.regimes import RateSpec, simulate_regime_path
 
 BS_CALL_ATM = 10.450583572185565
-
-
-def make_jump(n=201):
-    return JumpSpec.from_density(
-        lambda z: np.ones_like(z), (-0.5, 1.0), n, EtaClamp(1.0, -0.5, 1.0)
-    )
-
-
-def empty_jump():
-    return JumpSpec(np.empty(0), np.empty(0), EtaClamp(1.0, -0.5, 1.0))
-
-
-def benchmark_model():
-    rates = RateSpec(
-        n_states=2,
-        rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)},
-    )
-    return MarketModel(
-        rates=rates,
-        r=[0.05, 0.05],
-        mu=[0.08, 0.05],
-        jump=make_jump(),
-        horizon=1.0,
-        sigma_values=[0.2, 0.3],
-    )
 
 
 def bs_model():
@@ -129,6 +110,19 @@ class TestQPricing:
             assert est.ci_low == est.value - half
             assert est.ci_high == est.value + half
             assert isinstance(est, McEstimate)
+
+
+@pytest.mark.parametrize("s0", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["mc-q", "mc-p", "backtest"])
+def test_non_finite_spot_rejected(entry, s0, bench, bench_surface):
+    payoff = Payoff(kind="call", strikes=(100.0,))
+    run = {
+        "mc-q": lambda: price_mc_q(bench, payoff, s0, 0, 0.0, n_paths=10, seed=1),
+        "mc-p": lambda: price_mc_p_weighted(bench, payoff, s0, 0, 0.0, n_paths=10, seed=1),
+        "backtest": lambda: backtest_hedge(bench, bench_surface, payoff, s0, 0, 0.0, 10, 5, 1),
+    }[entry]
+    with pytest.raises(ValueError, match="positive and finite"):
+        run()
 
 
 class TestPWeighted:
@@ -279,7 +273,7 @@ class TestBitIdentity:
         payoff = Payoff(kind="call", strikes=(100.0,))
         args = (model, payoff, 100.0, 0, 0.0, 300, 13)
         est = price_mc_p_weighted(*args)
-        monkeypatch.setattr(mc, "simulate_asset_path", loop_simulate_asset_path)
+        monkeypatch.setattr(mc, "simulate_asset_path", loop_path_record)
         assert est == price_mc_p_weighted(*args)
 
     @pytest.mark.parametrize("name, n_age", [("markov", 0), ("weibull", 6)])
@@ -290,5 +284,5 @@ class TestBitIdentity:
         surface = solve_price(model, payoff, grid)
         args = (model, surface, payoff, 100.0, 1, 0.2, 40, 25, 17)
         report = backtest_hedge(*args)
-        monkeypatch.setattr(mc, "simulate_asset_path", loop_simulate_asset_path)
+        monkeypatch.setattr(mc, "simulate_asset_path", loop_path_record)
         assert dataclasses.asdict(report) == dataclasses.asdict(backtest_hedge(*args))

@@ -31,6 +31,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
+from shared import benchmark_model, bs_call, empty_jump, make_jump
 
 from smjd import _artifacts, pricing
 from smjd.fd import solve_price_fd
@@ -157,37 +158,6 @@ def two_row_lookup(surf, arr, t, s, x, y):
     lo = w0 * layer[x, c0, iy] + w1 * layer[x, c1, iy]
     hi = w0 * layer[x, c0, iy1] + w1 * layer[x, c1, iy1]
     return (1.0 - fy) * lo + fy * hi
-
-
-def bs_call(s, k, r, sigma, t):
-    d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * t) / (sigma * np.sqrt(t))
-    d2 = d1 - sigma * np.sqrt(t)
-    return s * norm.cdf(d1) - k * np.exp(-r * t) * norm.cdf(d2)
-
-
-def make_jump(n=201):
-    return JumpSpec.from_density(
-        lambda z: np.ones_like(z), (-0.5, 1.0), n, EtaClamp(1.0, -0.5, 1.0)
-    )
-
-
-def empty_jump():
-    return JumpSpec(np.empty(0), np.empty(0), EtaClamp(1.0, -0.5, 1.0))
-
-
-def benchmark_model():
-    rates = RateSpec(
-        n_states=2,
-        rates={(0, 1): ConstantRate(1.0), (1, 0): ConstantRate(1.0)},
-    )
-    return MarketModel(
-        rates=rates,
-        r=[0.05, 0.05],
-        mu=[0.08, 0.05],
-        jump=make_jump(),
-        horizon=1.0,
-        sigma_values=[0.2, 0.3],
-    )
 
 
 def single_regime_model(mu=0.08, sigma=0.2, jump=None, horizon=1.0):
@@ -733,11 +703,15 @@ class TestSolvePrice:
 
     def test_lookup_rejects_bad_regime_and_age(self, bench_call_surface):
         surf = bench_call_surface
-        for x, y in ((-1, 0.0), (2, 0.0), (np.array([0, 2]), 0.0), (0, -0.1)):
+        # a fractional regime used to truncate: 0.9 read regime 0's price
+        fractional = (0.9, np.array([0.0, 1.5]), math.nan, math.inf)
+        for x, y in ((-1, 0.0), (2, 0.0), (np.array([0, 2]), 0.0), (0, -0.1),
+                     *((x, 0.0) for x in fractional)):
             with pytest.raises(ValueError):
                 surf.value_at(0.0, 100.0, x, y)
             with pytest.raises(ValueError):
                 surf.hedge_at(0.0, 100.0, x, y)
+        assert surf.value_at(0.0, 100.0, 1.0, 0.2) == surf.value_at(0.0, 100.0, 1, 0.2)
 
     def test_surface_interpolation_consistency(self, bench_call_surface):
         surf = bench_call_surface

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
+from shared import age_at, state_at
 
 from smjd.regimes import (
     INVERSION_MAX_ITER,
@@ -103,18 +104,6 @@ def choice_sample_transition(spec, i, y0, rng):
     if math.isinf(hold):
         return hold, i
     return hold, int(rng.choice(spec.n_states, p=embedded_probs(spec, i, y0 + hold)))
-
-
-def state_at(path, t: float) -> int:
-    """Regime of a ``RegimePath`` at time ``t``, right after any switch there."""
-    idx = int(np.searchsorted(path.times, t, side="right"))
-    return path.x0 if idx == 0 else int(path.states[idx - 1])
-
-
-def age_at(path, t: float) -> float:
-    """Age of a ``RegimePath``'s regime at time ``t``; zero at a switch."""
-    idx = int(np.searchsorted(path.times, t, side="right"))
-    return path.y0 + t if idx == 0 else t - float(path.times[idx - 1])
 
 
 def table_hazard_integral_oracle():
